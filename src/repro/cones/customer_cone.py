@@ -16,8 +16,8 @@ from repro.cones.base import ValidSpaceMap
 from repro.cones.closure import ReachabilityClosure
 from repro.cones.relationships import (
     InferredRelationship,
-    infer_relationships,
-    provider_to_customer_edges,
+    RelationshipLedger,
+    is_provider,
 )
 
 
@@ -26,33 +26,44 @@ class CustomerConeValidSpace(ValidSpaceMap):
 
     name = "cc"
 
-    def __init__(
-        self,
-        rib: GlobalRIB,
-        relationships: dict[tuple[int, int], InferredRelationship] | None = None,
-    ) -> None:
+    def __init__(self, rib: GlobalRIB) -> None:
         super().__init__(rib)
-        self._given_relationships = relationships
         self._build()
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle; a map pickled before it kept a relationship ledger
+        (an older checkpoint) rebuilds the ledger from its RIB."""
+        self.__dict__.update(state)
+        if "_ledger" not in state:
+            self.__dict__.pop("relationships", None)
+            self.__dict__.pop("_given_relationships", None)
+            self._build()
+
+    @property
+    def relationships(self) -> dict[tuple[int, int], InferredRelationship]:
+        """The inferred relationship per observed link (see
+        :func:`~repro.cones.relationships.infer_relationships`)."""
+        return self._ledger.relationships
+
     def _build(self) -> None:
-        rib = self._rib
-        indexer = rib.indexer
-        relationships = self._given_relationships
-        if relationships is None:
-            relationships = infer_relationships(rib.paths())
-        self.relationships = relationships
+        self._ledger = RelationshipLedger(self._rib.paths())
         # Keep only provider→customer edges that are also observed
         # path adjacencies. Provider→customer export is what makes an
         # AS appear left of its customer on paths, so a true p2c link
         # always satisfies this; dropping the rest guarantees the
         # paper's observed containment (CC ⊆ Full Cone per AS) even
         # when relationship inference errs on a peering.
-        observed = rib.adjacencies()
+        self._edges = {
+            edge for edge in self._rib.adjacencies()
+            if is_provider(self.relationships, *edge)
+        }
+        self._close()
+
+    def _close(self) -> None:
+        """Rebuild the closure over the kept provider→customer edges."""
+        indexer = self._rib.indexer
         edges = []
-        for provider, customer in provider_to_customer_edges(relationships):
-            if (provider, customer) not in observed:
-                continue
+        for provider, customer in self._edges:
             p_idx = indexer.index_or_none(provider)
             c_idx = indexer.index_or_none(customer)
             if p_idx is not None and c_idx is not None:
@@ -60,34 +71,47 @@ class CustomerConeValidSpace(ValidSpaceMap):
         self._closure = ReachabilityClosure(len(indexer), edges)
 
     def refresh(self) -> None:
-        """Re-infer relationships (unless given) and rebuild the closure."""
+        """Re-infer relationships from scratch and rebuild the closure."""
         self._build()
 
     def apply_delta(self, delta: RIBDelta) -> set[int] | None:
-        """Rebuild on path churn, but report only the rows that moved.
+        """Patch the relationship ledger; rebuild the closure only when
+        the kept provider→customer edge set moved.
 
-        Relationship inference is a global fixpoint over the unique
-        path set — there is no sound per-edge patch — so any change to
-        the live paths or adjacencies re-infers and rebuilds the
-        closure. The old and new per-node reachability rows are then
-        diffed so downstream matrix patching stays row-level.
+        The ledger re-votes only the paths the delta added or removed
+        (plus every path through an AS whose transit degree moved) and
+        reports the links whose relationship changed. An edge can enter
+        or leave the kept set only on such a link or on an adjacency
+        that appeared or vanished, so only those are re-checked. An
+        unchanged edge set moves no row; otherwise the closure is
+        rebuilt and the old and new per-node rows are diffed, so
+        downstream matrix patching stays row-level. A change of the
+        observed AS set shifts the dense index: the closure is rebuilt
+        and every row counts as moved.
         """
+        relinked = self._ledger.apply(delta.added_paths, delta.removed_paths)
+        candidates = {*delta.added_adjacencies, *delta.removed_adjacencies}
+        for a, b in relinked:
+            candidates.update(((a, b), (b, a)))
+        edges_moved = False
+        if candidates:
+            observed = self._rib.adjacencies()
+            kept = {
+                edge for edge in candidates
+                if edge in observed and is_provider(self.relationships, *edge)
+            }
+            before = candidates & self._edges
+            if kept != before:
+                self._edges = (self._edges - before) | kept
+                edges_moved = True
         if delta.rebuild_required:
-            self.refresh()
+            self._close()
             return None
-        if not (
-            delta.added_paths
-            or delta.removed_paths
-            or delta.added_adjacencies
-            or delta.removed_adjacencies
-        ):
+        if not edges_moved:
             return set()
         old = self._closure.node_rows().copy()
-        self._build()
-        new = self._closure.node_rows()
-        if old.shape != new.shape:
-            return None
-        moved = (old != new).any(axis=1)
+        self._close()
+        moved = (old != self._closure.node_rows()).any(axis=1)
         indexer = self._rib.indexer
         return {indexer.asn(int(i)) for i in np.flatnonzero(moved)}
 

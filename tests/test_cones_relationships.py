@@ -1,14 +1,16 @@
 """Tests for AS relationship inference."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cones.relationships import (
     InferredRelationship,
+    RelationshipLedger,
     _collapse,
     infer_relationships,
-    provider_to_customer_edges,
-    transit_degree,
+    is_provider,
 )
+from tests import reference_relationships as reference
 
 
 class TestCollapse:
@@ -24,13 +26,15 @@ class TestCollapse:
 
 class TestTransitDegree:
     def test_endpoints_do_not_count(self):
-        rank = transit_degree([(1, 2, 3)])
+        rank = RelationshipLedger([(1, 2, 3)]).transit_degree()
         assert rank[2] == 2
         assert rank[1] == 0
         assert rank[3] == 0
 
     def test_distinct_neighbors(self):
-        rank = transit_degree([(1, 2, 3), (4, 2, 3), (1, 2, 5)])
+        rank = RelationshipLedger(
+            [(1, 2, 3), (4, 2, 3), (1, 2, 5)]
+        ).transit_degree()
         assert rank[2] == 4  # neighbors {1, 3, 4, 5}
 
 
@@ -83,7 +87,8 @@ class TestInference:
             (3, 4): InferredRelationship.C2P,
             (5, 6): InferredRelationship.PEER,
         }
-        edges = set(provider_to_customer_edges(rels))
+        pairs = [(a, b) for a in range(1, 8) for b in range(1, 8) if a != b]
+        edges = {(p, c) for p, c in pairs if is_provider(rels, p, c)}
         assert edges == {(1, 2), (4, 3)}
 
     def test_empty_paths(self):
@@ -139,3 +144,78 @@ class TestOnSyntheticWorld:
             if inferred is wrong:
                 inverted += 1
         assert inverted <= max(2, 0.02 * total)
+
+
+# A small AS pool, so paths share links and transit degrees tie and
+# flip; every hop repeats 1-3 times, so distinct raw paths collapse to
+# one, and 1- and 2-AS paths are common.
+_hops = st.lists(
+    st.tuples(st.integers(1, 7), st.integers(1, 3)), min_size=1, max_size=5
+)
+raw_paths = _hops.map(
+    lambda hops: tuple(asn for asn, times in hops for _ in range(times))
+)
+
+
+def assert_matches_reference(ledger, live):
+    """The ledger equals the reference inference and a cold build."""
+    assert ledger.relationships == reference.infer_relationships(live)
+    unique = list({reference._collapse(p) for p in live if p})
+    assert ledger.transit_degree() == reference.transit_degree(unique)
+    assert vars(ledger) == vars(RelationshipLedger(live))
+
+
+class TestLedgerAgainstReference:
+    """Differential test: the refcounted ledger, cold and patched,
+    against the one-shot reference inference kept under ``tests/``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(raw_paths, max_size=25))
+    def test_cold_build(self, paths):
+        assert_matches_reference(RelationshipLedger(paths), paths)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(raw_paths, max_size=12), st.data())
+    def test_add_remove_sequences(self, paths, data):
+        live = list(paths)
+        ledger = RelationshipLedger(live)
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            added = data.draw(st.lists(raw_paths, max_size=2), label="added")
+            removed = []
+            if live:
+                picks = data.draw(
+                    st.sets(st.integers(0, len(live) - 1), max_size=2),
+                    label="removed",
+                )
+                removed = [live[i] for i in picks]
+                live = [p for i, p in enumerate(live) if i not in picks]
+            before = dict(ledger.relationships)
+            changed = ledger.apply(added, removed)
+            live += added
+            after = ledger.relationships
+            assert changed == {
+                link for link in before.keys() | after.keys()
+                if before.get(link) is not after.get(link)
+            }
+            assert_matches_reference(ledger, live)
+
+    def test_degree_flip_redecides_links_off_the_delta(self):
+        """Adding a path that raises AS 3's transit degree re-votes the
+        live paths through AS 3 and flips a link the new path does not
+        cross."""
+        live = [(1, 3, 4), (2, 4, 3)]
+        ledger = RelationshipLedger(live)
+        assert ledger.relationships == reference.infer_relationships(live)
+        added = [(5, 3, 6)]
+        changed = ledger.apply(added, [])
+        assert (3, 4) in changed
+        assert ledger.relationships == reference.infer_relationships(live + added)
+
+    def test_prepended_variants_share_one_collapsed_path(self):
+        ledger = RelationshipLedger([(1, 2, 3)])
+        cold = dict(ledger.relationships)
+        assert ledger.apply([(1, 1, 2, 3), (1, 2, 2, 2, 3)], []) == set()
+        assert ledger.apply([], [(1, 2, 3), (1, 1, 2, 3)]) == set()
+        assert ledger.relationships == cold
+        assert ledger.apply([], [(1, 2, 2, 2, 3)]) == set(cold)
+        assert ledger.relationships == {}

@@ -11,6 +11,8 @@ flips, org-sibling churn) and compare at every step.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -69,9 +71,21 @@ class EventFuzzer:
         self.live: list[tuple[str, tuple[int, ...]]] = []
 
     def random_path(self) -> tuple[int, ...]:
-        length = int(self.rng.integers(2, 5))
-        picked = self.rng.choice(len(self.asns), size=length, replace=False)
-        return tuple(self.asns[i] for i in picked)
+        """A loop-free path, sometimes a live one's hops again; a
+        quarter of the hops are prepended, so distinct raw paths
+        collapse to one."""
+        if self.live and self.rng.random() < 0.3:
+            live_path = self.live[int(self.rng.integers(len(self.live)))][1]
+            hops = [asn for asn, _ in groupby(live_path)]
+        else:
+            length = int(self.rng.integers(2, 5))
+            picked = self.rng.choice(len(self.asns), size=length, replace=False)
+            hops = [self.asns[i] for i in picked]
+        prepend = self.rng.random(len(hops)) < 0.25
+        times = np.where(prepend, self.rng.integers(2, 4, len(hops)), 1)
+        return tuple(
+            asn for asn, n in zip(hops, times.tolist()) for _ in range(n)
+        )
 
     def next_event(self) -> RouteObservation:
         roll = self.rng.random()
@@ -217,6 +231,7 @@ class TestConeDeltaParity:
             if step % 5:
                 continue
             fresh = build_approaches(rib, org_mapping)
+            assert approaches["cc"].relationships == fresh["cc"].relationships
             for name, approach in approaches.items():
                 np.testing.assert_array_equal(
                     approach.packed_matrix(members),
