@@ -2,9 +2,10 @@
 
 Not a paper artefact — harness hygiene: the detector must keep up with
 flow export rates, so its hot paths are benchmarked explicitly. The
-PERF columns compare three classification paths on the default world:
+PERF columns compare these classification paths on the default world:
 
-* ``loop``    — the historical per-member Python loop,
+* ``loop``    — the seed per-member Python loop, kept as the reference
+  classifier in ``tests/reference_classifier.py``,
 * ``matrix``  — the packed validity-matrix kernel (one gather for all
   members and approaches; must be ≥5× the loop),
 * ``stream``  — ``classify_stream`` over bounded chunks with a
@@ -19,10 +20,11 @@ import time
 
 import numpy as np
 
-from repro.core import FailurePolicy, SpoofingClassifier
+from repro.core import SpoofingClassifier
 from repro.datasets.bogons import bogon_prefix_set
 from repro.ixp.flows import FlowTable
 from repro.obs import current_tracer, enable_tracing, span_totals
+from tests import reference_classifier as reference
 
 #: Row floor for the streaming comparison (acceptance: ≥ 4M rows).
 STREAM_SCENARIO_ROWS = 4_000_000
@@ -73,24 +75,27 @@ def bench_classifier_all_approaches_matrix(benchmark, world):
 
 
 def bench_matrix_vs_loop_speedup(benchmark, world, save_artefact):
-    """The matrix kernel must be ≥5× the seed per-member loop."""
+    """The matrix kernel must be ≥5× the seed per-member loop.
+
+    Both sides run the whole Figure 3 sequence; the loop side is the
+    reference classifier of ``tests/reference_classifier.py``.
+    """
     classifier = world.classifier
     flows = world.scenario.flows
     classifier.classify(flows)  # warm
 
     loop_s = min(
-        _timed(classifier.classify, flows, engine="loop") for _ in range(2)
+        _timed(reference.classify_labels, classifier, flows)
+        for _ in range(2)
     )
-    matrix_s = min(
-        _timed(classifier.classify, flows, engine="matrix") for _ in range(3)
-    )
-    loop_result = classifier.classify(flows, engine="loop")
+    matrix_s = min(_timed(classifier.classify, flows) for _ in range(3))
+    loop_labels = reference.classify_labels(classifier, flows)
     matrix_result = benchmark.pedantic(
         classifier.classify, args=(flows,), rounds=3, iterations=1
     )
     for name in classifier.approach_names:
         assert (
-            matrix_result.label_vector(name) == loop_result.label_vector(name)
+            matrix_result.label_vector(name) == loop_labels[name]
         ).all(), name
 
     speedup = loop_s / matrix_s
@@ -240,62 +245,6 @@ def bench_stream_sketch_shm_speedup(benchmark, world, save_artefact):
     )
     assert speedup >= 3.0, (
         f"sketch+shm only {speedup:.2f}x over the parallel baseline"
-    )
-
-
-def bench_supervised_overhead(benchmark, world, save_artefact):
-    """Supervision tax: ``policy="retry"`` vs the unsupervised path.
-
-    The windowed apply_async scheduler (deadlines, ordered emission,
-    retry bookkeeping) must cost ≤5% wall-clock over the legacy
-    ``pool.imap`` path on a fault-free ≥4M-row run.
-    """
-    classifier = world.classifier
-    big = _tile_flows(world.scenario.flows, STREAM_SCENARIO_ROWS)
-    classifier.classify(world.scenario.flows)  # warm
-    policy = FailurePolicy(mode="retry", chunk_timeout=300.0)
-    # One throwaway run of each path first so pool start-up noise and
-    # page-cache effects do not land on either side of the comparison.
-    classifier.classify_stream(big, n_workers=4)
-    classifier.classify_stream(big, n_workers=4, policy=policy)
-
-    plain_s = min(
-        _timed(classifier.classify_stream, big, n_workers=4)
-        for _ in range(2)
-    )
-    supervised_s = min(
-        _timed(classifier.classify_stream, big, n_workers=4, policy=policy)
-        for _ in range(2)
-    )
-    stream = benchmark.pedantic(
-        classifier.classify_stream,
-        args=(big,),
-        kwargs={"n_workers": 4, "policy": policy},
-        rounds=1,
-        iterations=1,
-    )
-    assert stream.complete and not stream.failures
-
-    overhead = supervised_s / plain_s - 1.0
-    benchmark.extra_info["unsupervised_seconds"] = round(plain_s, 2)
-    benchmark.extra_info["supervised_seconds"] = round(supervised_s, 2)
-    benchmark.extra_info["overhead_pct"] = round(overhead * 100, 2)
-    save_artefact(
-        "perf_supervised_overhead",
-        "\n".join(
-            [
-                f"supervised streaming overhead ({len(big)} rows, "
-                f"{stream.n_chunks} chunks, 4 workers, policy=retry)",
-                f"  unsupervised {plain_s:8.2f}s  "
-                f"{len(big) / plain_s:12.0f} rows/s",
-                f"  supervised   {supervised_s:8.2f}s  "
-                f"{len(big) / supervised_s:12.0f} rows/s",
-                f"  overhead {overhead * 100:+.2f}% (acceptance: <= 5%)",
-            ]
-        ),
-    )
-    assert overhead <= 0.05, (
-        f"supervision costs {overhead * 100:.2f}% (> 5%) over imap"
     )
 
 

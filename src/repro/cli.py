@@ -117,6 +117,14 @@ def _add_preset(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer greater than zero."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _obs_wanted(args: argparse.Namespace) -> bool:
     """Whether any observability output was requested for this run."""
     return bool(
@@ -534,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         choices=("fail_fast", "retry", "degrade"),
         default=None,
-        help="failure policy for the supervised parallel path "
-        "(default: unsupervised)",
+        help="how the worker supervisor treats a failed chunk "
+        "(default: fail_fast)",
     )
     classify.add_argument(
         "--on-error",
@@ -548,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument(
         "--chunk-rows",
         dest="chunk_rows",
-        type=int,
+        type=_positive_int,
         default=None,
         help=f"rows per streaming chunk (default: {DEFAULT_CHUNK_ROWS}, "
         "or a larger constant-memory default with --triage)",
@@ -604,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--chunk-rows",
         dest="chunk_rows",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_CHUNK_ROWS,
         help="max flow rows per chunk event",
     )

@@ -1,32 +1,27 @@
 """The sequential classification pipeline of Figure 3.
 
-Two engines implement the Invalid stage:
+The Invalid stage stacks every approach's per-member validity rows
+into one packed member×column bit matrix
+(:meth:`ValidSpaceMap.packed_matrix`), and the invalid mask for all
+routed flows of all members falls out of a single gather::
 
-* ``"matrix"`` (default) — every approach's per-member validity rows
-  are stacked into one packed member×column bit matrix
-  (:meth:`ValidSpaceMap.packed_matrix`), and the invalid mask for all
-  routed flows of all members falls out of a single gather::
+    (matrix[row_idx, col >> 3] >> (col & 7)) & 1
 
-      (matrix[row_idx, col >> 3] >> (col & 7)) & 1
-
-  where ``row_idx`` maps each routed flow to its member's matrix row
-  and ``col`` is the flow's prefix id (naive) or origin index (cones).
-* ``"loop"`` — the historical per-member Python loop, kept for
-  benchmarking and as an equivalence oracle in tests.
+where ``row_idx`` maps each routed flow to its member's matrix row
+and ``col`` is the flow's prefix id (naive) or origin index (cones).
 
 For scenarios too large for one :class:`FlowTable`,
 :meth:`SpoofingClassifier.classify_stream` consumes an iterable of
 chunks with bounded memory and can fan the chunks out over a process
 pool, merging per-approach label vectors and class counters.
 
-Passing a :class:`FailurePolicy` (or its mode string) engages the
-*supervised* parallel path: every chunk gets a wall-clock deadline,
-workers that crash or hang are detected, failed chunks are retried
-with exponential backoff and ultimately re-classified in the parent
-process, and everything the supervisor had to do lands in the
-result's ``failures`` record. Without a policy the historical
-unsupervised ``pool.imap`` path runs unchanged (zero overhead — and
-zero protection: a dead worker blocks it forever).
+Every streamed run is supervised by a :class:`FailurePolicy`
+(``fail_fast`` when none is given): every chunk gets a wall-clock
+deadline, workers that crash or hang are detected, and — under
+``retry`` or ``degrade`` — failed chunks are retried with exponential
+backoff and ultimately re-classified in the parent process, with
+everything the supervisor had to do recorded in the result's
+``failures``.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from multiprocessing.context import BaseContext
     from multiprocessing.pool import Pool
 
     from repro.sketch.triage import SketchTriageState, TriageDigest
@@ -171,7 +165,11 @@ class FailurePolicy:
     def coerce(
         cls, value: "FailurePolicy | str | None"
     ) -> "FailurePolicy | None":
-        """Accept a policy, a mode string, or ``None`` (unsupervised)."""
+        """Accept a policy, a mode string, or ``None`` (passed through).
+
+        ``classify_stream`` reads ``None`` as ``fail_fast``; callers
+        such as the durable watch keep it to mean "no stall deadline".
+        """
         if value is None or isinstance(value, FailurePolicy):
             return value
         if isinstance(value, str):
@@ -369,21 +367,17 @@ class SpoofingClassifier:
         self,
         flows: FlowTable,
         *,
-        engine: str = "matrix",
         collect_stats: bool = True,
     ) -> ClassificationResult:
         """Classify every flow; returns per-approach label vectors."""
-        if engine not in ("matrix", "loop"):
-            raise ValueError(f"unknown engine {engine!r}")
         n = len(flows)
         stats = PipelineStats(n_flows=n, n_chunks=1) if collect_stats else None
-        with current_tracer().span("classify", rows=n, engine=engine):
-            return self._classify_traced(flows, engine, stats)
+        with current_tracer().span("classify", rows=n):
+            return self._classify_traced(flows, stats)
 
     def _classify_traced(
         self,
         flows: FlowTable,
-        engine: str,
         stats: PipelineStats | None,
     ) -> ClassificationResult:
         """The classify body, run inside the ``classify`` span."""
@@ -399,9 +393,8 @@ class SpoofingClassifier:
         # Shared across approaches: which rows are routed, and the
         # member→matrix-row assignment of each routed flow.
         routed_idx = np.flatnonzero(routed_mask)
-        routed_members = flows.member[routed_idx]
         unique_members, member_rows = np.unique(
-            routed_members, return_inverse=True
+            flows.member[routed_idx], return_inverse=True
         )
         routed_prefix_ids = prefix_ids[routed_idx]
         routed_origin_indices = origin_indices[routed_idx]
@@ -414,21 +407,13 @@ class SpoofingClassifier:
         for name, approach in self._approaches.items():
             class_vector = base_vector.copy()
             with StageClock(stats, f"invalid[{name}]", n):
-                if engine == "matrix":
-                    invalid_routed = self._invalid_routed_matrix(
-                        approach,
-                        unique_members,
-                        member_rows,
-                        routed_prefix_ids,
-                        routed_origin_indices,
-                    )
-                else:
-                    invalid_routed = self._invalid_routed_loop(
-                        approach,
-                        routed_members,
-                        routed_prefix_ids,
-                        routed_origin_indices,
-                    )
+                invalid_routed = self._invalid_routed_matrix(
+                    approach,
+                    unique_members,
+                    member_rows,
+                    routed_prefix_ids,
+                    routed_origin_indices,
+                )
                 class_vector[routed_idx[invalid_routed]] = int(
                     TrafficClass.INVALID
                 )
@@ -443,8 +428,6 @@ class SpoofingClassifier:
             rib=self._rib,
             stats=stats,
         )
-
-    # -- invalid-stage engines ---------------------------------------------
 
     @staticmethod
     def _invalid_routed_matrix(
@@ -466,23 +449,6 @@ class SpoofingClassifier:
         bits = (matrix[member_rows, cols >> 3] >> (cols & 7).astype(np.uint8)) & 1
         return bits == 0
 
-    @staticmethod
-    def _invalid_routed_loop(
-        approach: ValidSpaceMap,
-        routed_members: np.ndarray,
-        prefix_ids: np.ndarray,
-        origin_indices: np.ndarray,
-    ) -> np.ndarray:
-        """The seed per-member loop (equivalence oracle / benchmarks)."""
-        invalid = np.zeros(routed_members.size, dtype=bool)
-        for member in np.unique(routed_members):
-            rows = np.flatnonzero(routed_members == member)
-            valid = approach.valid_mask(
-                int(member), prefix_ids[rows], origin_indices[rows]
-            )
-            invalid[rows] = ~valid
-        return invalid
-
     # -- streaming ---------------------------------------------------------
 
     def classify_stream(
@@ -502,9 +468,9 @@ class SpoofingClassifier:
 
         ``flow_chunks`` is an iterable of :class:`FlowTable` chunks (a
         single table is chunked into ``chunk_rows`` slices first;
-        ``chunk_rows=None`` picks :data:`DEFAULT_CHUNK_ROWS`, or the
-        larger :data:`TRIAGE_CHUNK_ROWS` on the constant-memory
-        triage path).
+        ``chunk_rows`` must be positive, and ``None`` picks
+        :data:`DEFAULT_CHUNK_ROWS`, or the larger
+        :data:`TRIAGE_CHUNK_ROWS` on the constant-memory triage path).
         With ``n_workers`` a process pool classifies chunks in
         parallel; per-chunk class counters, member sets, stage stats
         and (when ``keep_labels``) label vectors are merged in chunk
@@ -514,11 +480,15 @@ class SpoofingClassifier:
         receive only row ranges — no flow data is ever pickled.
 
         ``policy`` (a :class:`FailurePolicy` or one of its mode
-        strings) engages worker supervision: per-chunk timeouts,
-        dead/hung-worker reclamation, bounded retries with backoff and
-        in-process fallback. Everything the supervisor did is recorded
-        in the result's ``failures``. ``fault_injector`` is the
-        deterministic testing seam (:mod:`repro.testing.faults`).
+        strings; ``None`` means ``fail_fast``) sets how the supervisor
+        treats a failed chunk: per-chunk timeouts and dead/hung-worker
+        reclamation always apply, and ``retry``/``degrade`` add bounded
+        retries with backoff and in-process fallback. Everything the
+        supervisor did is recorded in the result's ``failures``; a
+        chunk that fails in-process raises
+        :class:`~repro.errors.ClassificationError` naming it unless the
+        policy degrades. ``fault_injector`` is the deterministic
+        testing seam (:mod:`repro.testing.faults`).
 
         ``transport="shm"`` replaces the pickle-per-chunk pool payload
         with a shared-memory ring (:mod:`repro.core.shmring`): the
@@ -552,7 +522,9 @@ class SpoofingClassifier:
             chunk_rows = (
                 TRIAGE_CHUNK_ROWS if triage is not None else DEFAULT_CHUNK_ROWS
             )
-        policy = FailurePolicy.coerce(policy)
+        if chunk_rows <= 0:
+            raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
+        policy = FailurePolicy.coerce(policy) or FailurePolicy("fail_fast")
         table = flow_chunks if isinstance(flow_chunks, FlowTable) else None
         merged = StreamClassificationResult(
             self.approach_names, keep_labels=keep_labels
@@ -609,8 +581,6 @@ class SpoofingClassifier:
                         )
                     )
                 except Exception as exc:
-                    if policy is None:
-                        raise
                     if policy.mode == "degrade":
                         merged.failures.record_dropped(
                             index, len(chunk), 1, repr(exc)
@@ -708,13 +678,40 @@ class SpoofingClassifier:
         n_workers: int,
         keep_labels: bool,
         chunk_rows: int,
-        policy: FailurePolicy | None = None,
-        injector: FaultInjector | None = None,
-        failures: FailureLog | None = None,
-        transport: str = "pickle",
-        triage_state: "SketchTriageState | None" = None,
+        *,
+        policy: FailurePolicy,
+        injector: FaultInjector | None,
+        failures: FailureLog,
+        transport: str,
+        triage_state: "SketchTriageState | None",
     ) -> "Iterator[ChunkSummary | TriageDigest]":
-        """Fan chunks out over a process pool, yield summaries in order."""
+        """Fan chunks out over a supervised pool, yield summaries in order.
+
+        A windowed ``apply_async`` scheduler: chunks are submitted with
+        a bounded in-flight window and their summaries yielded strictly
+        in chunk order (so merged label vectors match a serial run bit
+        for bit). The oldest in-flight chunk is awaited under its
+        deadline; a worker exception resolves just that chunk, while a
+        deadline expiry (hung or killed worker — its task can never
+        complete) tears the whole pool down, rebuilds it, and
+        resubmits the collateral in-flight chunks.
+
+        Pools are version-aware: when the classifier's
+        :attr:`state_version` moves mid-stream (the online pipeline
+        patched the RIB or a validity matrix in place), in-flight
+        chunks drain against the state their pool was armed with, then
+        the pool is rebuilt — fork re-snapshots the parent's current
+        memory, spawn re-pickles the classifier — before any later
+        chunk is submitted. Chunks resubmitted after a worker death
+        rerun against the rebuilt pool's (current) state.
+
+        Under the shm transport slot ownership stays strictly here in
+        the parent: a chunk keeps its ring slot across retries (the
+        header is repaired from the authoritative copy, the columns
+        were written once), and the slot is released only when the
+        chunk resolves — success, degraded fallback, or drop — so a
+        reclaimed worker can never strand a slot.
+        """
         # Materialise the finalized RIB before the fork so workers
         # share it copy-on-write instead of each rebuilding it.
         self._rib.lookup_many(np.zeros(1, dtype=np.uint64))
@@ -740,183 +737,7 @@ class SpoofingClassifier:
                 capacity=chunk_rows,
                 columns=("src", "member") if triage_state is not None else None,
             )
-        # Save/restore is unconditional and symmetric across start
-        # methods: fork workers inherit the globals set here, spawn
-        # workers receive the same state through the initializer, and
-        # the parent's globals always return to their previous values
-        # so repeated streamed runs can't observe stale state. The
-        # snapshot is driven by the _STREAM_GLOBALS registry so a new
-        # worker global cannot be wired in without joining it.
-        previous = {name: globals()[name] for name in _STREAM_GLOBALS}
-        if fork:
-            _STREAM_CLASSIFIER = self
-            _STREAM_TABLE = table
-            _STREAM_INJECTOR = injector
-            _STREAM_TRIAGE = triage_state
-
-        def make_initargs() -> tuple:
-            # Evaluated at every pool (re)build, not once per stream:
-            # a rebuilt spawn pool must pickle the classifier's
-            # *current* (possibly delta-patched) state, and the tracer
-            # enabled flag must reflect the tracer as it is now. The
-            # ring is attached in the initializer under both start
-            # methods (a worker must open its own mapping).
-            ring_spec = ring.spec if ring is not None else None
-            if fork:
-                return (None, None, False, ring_spec, None)
-            return (
-                self, injector, current_tracer().enabled, ring_spec,
-                triage_state,
-            )
-
         use_ranges = fork and table is not None and ring is None
-        try:
-            if policy is None:
-                yield from self._stream_unsupervised(
-                    ctx, n_workers, make_initargs(), table, flow_chunks,
-                    chunk_rows, keep_labels, use_ranges, ring,
-                )
-            else:
-                if failures is None:
-                    failures = FailureLog()
-                yield from self._stream_supervised(
-                    ctx, n_workers, make_initargs, table, flow_chunks,
-                    chunk_rows, keep_labels, use_ranges, policy,
-                    injector, failures, ring, triage_state,
-                )
-        finally:
-            globals().update(previous)
-            if ring is not None:
-                ring.destroy()
-
-    def _stream_unsupervised(
-        self,
-        ctx: BaseContext,
-        n_workers: int,
-        initargs: tuple,
-        table: FlowTable | None,
-        flow_chunks: Iterable[FlowTable] | FlowTable,
-        chunk_rows: int,
-        keep_labels: bool,
-        use_ranges: bool,
-        ring: FlowRing | None = None,
-    ) -> "Iterator[ChunkSummary | TriageDigest]":
-        """The historical ``pool.imap`` path (no timeouts, no retries)."""
-        with ctx.Pool(
-            processes=n_workers,
-            initializer=_stream_init,
-            initargs=initargs,
-        ) as pool:
-            if ring is not None:
-                yield from self._imap_over_ring(
-                    pool, ring, table, flow_chunks, chunk_rows, keep_labels
-                )
-            elif use_ranges:
-                assert table is not None
-                n = len(table)
-                payloads = (
-                    (start, min(start + chunk_rows, n), keep_labels, i, 1)
-                    for i, start in enumerate(range(0, n, chunk_rows))
-                )
-                yield from pool.imap(_stream_worker_range, payloads)
-            else:
-                if table is not None:  # pragma: no cover - spawn path
-                    flow_chunks = table.iter_chunks(chunk_rows)
-                chunk_payloads = (
-                    (chunk, keep_labels, i, 1)
-                    for i, chunk in enumerate(flow_chunks)
-                )
-                yield from pool.imap(_stream_worker, chunk_payloads)
-
-    @staticmethod
-    def _imap_over_ring(
-        pool: Pool,
-        ring: FlowRing,
-        table: FlowTable | None,
-        flow_chunks: Iterable[FlowTable] | FlowTable,
-        chunk_rows: int,
-        keep_labels: bool,
-    ) -> "Iterator[ChunkSummary | TriageDigest]":
-        """``pool.imap`` with chunks carried through the shared ring.
-
-        The payload generator runs on the pool's task-feeder thread:
-        it blocks in :meth:`FlowRing.acquire` while every slot is in
-        flight, and the main thread releases a chunk's slot as soon as
-        its summary arrives — the ring's slot count bounds how far the
-        feeder can run ahead, which is exactly the backpressure the
-        pickle path never had. ``pending`` maps completion order back
-        to slots (``None`` marks an oversize chunk that fell back to a
-        pickled payload).
-        """
-        chunks = (
-            table.iter_chunks(chunk_rows)
-            if table is not None
-            else iter(flow_chunks)
-        )
-        pending: deque[int | None] = deque()
-
-        def payloads() -> Iterator[tuple]:
-            for index, chunk in enumerate(chunks):
-                if len(chunk) > ring.capacity:
-                    current_metrics().counter("shm.fallback_chunks").inc()
-                    pending.append(None)
-                    yield (None, 0, 0, chunk, keep_labels, index, 1)
-                    continue
-                slot = ring.acquire()
-                generation = ring.write(slot, chunk, index)
-                pending.append(slot)
-                yield (slot, generation, len(chunk), None, keep_labels,
-                       index, 1)
-
-        for summary in pool.imap(_stream_worker_slot, payloads()):
-            slot = pending.popleft()
-            if slot is not None:
-                ring.release(slot)
-            yield summary
-
-    def _stream_supervised(
-        self,
-        ctx: BaseContext,
-        n_workers: int,
-        make_initargs: Callable[[], tuple],
-        table: FlowTable | None,
-        flow_chunks: Iterable[FlowTable] | FlowTable,
-        chunk_rows: int,
-        keep_labels: bool,
-        use_ranges: bool,
-        policy: FailurePolicy,
-        injector: FaultInjector | None,
-        failures: FailureLog,
-        ring: FlowRing | None = None,
-        triage_state: "SketchTriageState | None" = None,
-    ) -> "Iterator[ChunkSummary | TriageDigest]":
-        """Windowed ``apply_async`` scheduler with worker supervision.
-
-        Chunks are submitted with a bounded in-flight window and their
-        summaries yielded strictly in chunk order (so merged label
-        vectors match the unsupervised path bit for bit). The oldest
-        in-flight chunk is awaited under its deadline; a worker
-        exception resolves just that chunk, while a deadline expiry
-        (hung or killed worker — its task can never complete) tears
-        the whole pool down, rebuilds it, and resubmits the collateral
-        in-flight chunks.
-
-        Pools are version-aware: when the classifier's
-        :attr:`state_version` moves mid-stream (the online pipeline
-        patched the RIB or a validity matrix in place), in-flight
-        chunks drain against the state their pool was armed with, then
-        the pool is rebuilt — fork re-snapshots the parent's current
-        memory, spawn re-pickles through ``make_initargs`` — before
-        any later chunk is submitted. Chunks resubmitted after a
-        worker death rerun against the rebuilt pool's (current) state.
-
-        Under the shm transport slot ownership stays strictly here in
-        the parent: a chunk keeps its ring slot across retries (the
-        header is repaired from the authoritative copy, the columns
-        were written once), and the slot is released only when the
-        chunk resolves — success, degraded fallback, or drop — so a
-        reclaimed worker can never strand a slot.
-        """
         if use_ranges:
             assert table is not None
             n = len(table)
@@ -924,18 +745,31 @@ class SpoofingClassifier:
                 (start, min(start + chunk_rows, n))
                 for start in range(0, n, chunk_rows)
             )
+        elif table is not None:
+            jobs_iter = table.iter_chunks(chunk_rows)
         else:
-            if table is not None:
-                jobs_iter = table.iter_chunks(chunk_rows)
-            else:
-                jobs_iter = iter(flow_chunks)
+            jobs_iter = iter(flow_chunks)
         jobs = enumerate(jobs_iter)
 
         def make_pool() -> Pool:
+            # Initargs are evaluated at every pool (re)build, not once
+            # per stream: a rebuilt spawn pool must pickle the
+            # classifier's *current* (possibly delta-patched) state,
+            # and the tracer enabled flag must reflect the tracer as it
+            # is now. The ring is attached in the initializer under
+            # both start methods (a worker must open its own mapping).
+            ring_spec = ring.spec if ring is not None else None
+            if fork:
+                initargs: tuple = (None, None, False, ring_spec, None)
+            else:
+                initargs = (
+                    self, injector, current_tracer().enabled, ring_spec,
+                    triage_state,
+                )
             return ctx.Pool(
                 processes=n_workers,
                 initializer=_stream_init,
-                initargs=make_initargs(),
+                initargs=initargs,
             )
 
         def submit(
@@ -1048,13 +882,26 @@ class SpoofingClassifier:
             failures.record_degraded(failed.index, failed.attempt, reason)
             return ("summary", summary)
 
-        window = max(2, 2 * n_workers)
         inflight: deque[_InFlight] = deque()
         staged: tuple[int, Any] | None = None
         exhausted = False
         armed_version = self._state_version
-        pool = make_pool()
+        # Save/restore is unconditional and symmetric across start
+        # methods: fork workers inherit the globals set here, spawn
+        # workers receive the same state through the initializer, and
+        # the parent's globals always return to their previous values
+        # so repeated streamed runs can't observe stale state. The
+        # snapshot is driven by the _STREAM_GLOBALS registry so a new
+        # worker global cannot be wired in without joining it.
+        previous = {name: globals()[name] for name in _STREAM_GLOBALS}
+        if fork:
+            _STREAM_CLASSIFIER = self
+            _STREAM_TABLE = table
+            _STREAM_INJECTOR = injector
+            _STREAM_TRIAGE = triage_state
+        pool: Pool | None = None
         try:
+            pool = make_pool()
             while True:
                 while not exhausted and len(inflight) < window:
                     if staged is None:
@@ -1134,8 +981,12 @@ class SpoofingClassifier:
                 release_slot(inflight.popleft())
                 yield summary
         finally:
-            pool.terminate()
-            pool.join()
+            if pool is not None:
+                pool.terminate()
+                pool.join()
+            globals().update(previous)
+            if ring is not None:
+                ring.destroy()
 
 
 def default_stream_workers() -> int:

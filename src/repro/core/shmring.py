@@ -154,11 +154,10 @@ class _SlotViews:
 class FlowRing:
     """Parent-side ring owner: acquires, packs, repairs, releases slots.
 
-    Thread-safe where it must be: ``pool.imap`` consumes its payload
-    generator on the pool's task-feeder thread while the parent's main
-    thread releases slots as summaries arrive, so the free list is a
-    blocking :class:`queue.Queue` and the generation counter sits
-    behind a lock.
+    The free list is a blocking :class:`queue.Queue` and the
+    generation counter sits behind a lock, so slots may be packed and
+    released from different threads; the streaming scheduler does both
+    from the parent's main thread.
     """
 
     def __init__(self, segment: shared_memory.SharedMemory, spec: RingSpec) -> None:

@@ -10,8 +10,8 @@ import numpy as np
 from repro.bgp.collector import CollectorSystem
 from repro.bgp.rib import GlobalRIB
 from repro.bgp.simulate import simulate_bgp
-from repro.core.classifier import SpoofingClassifier
-from repro.core.results import ClassificationResult
+from repro.core.classifier import FailurePolicy, SpoofingClassifier
+from repro.core.results import ClassificationResult, StreamClassificationResult
 from repro.cones.base import ValidSpaceMap
 from repro.cones.customer_cone import CustomerConeValidSpace
 from repro.cones.full_cone import FullConeValidSpace
@@ -153,8 +153,8 @@ def classify_world_stream(
     world: World,
     n_workers: int | None = None,
     chunk_rows: int = 262_144,
-    policy=None,
-):
+    policy: FailurePolicy | str | None = None,
+) -> StreamClassificationResult:
     """Re-classify a built world's scenario through the streaming path.
 
     Multi-week scenarios whose flow tables no longer fit comfortably in
@@ -162,9 +162,8 @@ def classify_world_stream(
     flows are cut into ``chunk_rows`` slices and (optionally) fanned
     out over ``n_workers`` processes. ``policy`` (a
     :class:`~repro.core.FailurePolicy` or mode string such as
-    ``"degrade"``) engages worker supervision for runs long enough
-    that a single dead worker must not cost the whole capture.
-    Returns the merged
+    ``"degrade"``) sets how the worker supervisor treats a failed
+    chunk; ``None`` means ``"fail_fast"``. Returns the merged
     :class:`~repro.core.results.StreamClassificationResult`.
     """
     if world.scenario is None:

@@ -96,11 +96,10 @@ class OnlineClassifier:
         """``manifest_dir`` — when set, one
         :class:`~repro.obs.manifest.RunManifest` is written per window.
 
-        With ``n_workers`` > 1 a supervision policy is mandatory (it
-        defaults to ``"retry"``): only the supervised pool path is
-        version-aware — the historical unsupervised path snapshots
-        state once per stream and would classify post-delta chunks
-        against stale matrices.
+        ``policy`` defaults to ``"retry"`` when ``n_workers`` > 1: a
+        long-running watch should ride out a transient worker failure,
+        so a failed chunk is retried instead of failing the window as
+        ``classify_stream``'s own ``"fail_fast"`` default would.
 
         ``emitted_through`` — exactly-once recovery hook: windows with
         an index at or below it are still *computed* (their route

@@ -1,8 +1,11 @@
 """Matrix-kernel equivalence, streaming, and stats tests.
 
 The vectorised validity-matrix engine must be label-identical to the
-historical per-member loop, and the chunked/parallel streaming path
-must aggregate to exactly what a single-shot ``classify`` produces.
+seed per-member loop kept in :mod:`tests.reference_classifier`, and
+the chunked/parallel streaming path must aggregate to exactly what a
+single-shot ``classify`` produces. The suite runs under whichever
+multiprocessing start method ``MP_START_METHOD`` selects; CI's
+resilience matrix exercises both ``fork`` and ``spawn``.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from repro.core import (
 from repro.ixp.flows import PROTO_TCP, FlowTable, TruthLabel
 from repro.net.addr import addr_to_int
 from repro.net.prefix import Prefix
+from tests import reference_classifier as reference
 
 
 def obs(prefix, *path):
@@ -60,37 +64,33 @@ class TestEngineEquivalence:
     def test_loop_and_matrix_identical_on_seeded_world(self, tiny_world):
         classifier = tiny_world.classifier
         flows = tiny_world.scenario.flows
-        matrix = classifier.classify(flows, engine="matrix")
-        loop = classifier.classify(flows, engine="loop")
+        matrix = classifier.classify(flows)
+        loop = reference.classify_labels(classifier, flows)
+        assert set(loop) == set(classifier.approach_names)
         for name in classifier.approach_names:
-            assert (
-                matrix.label_vector(name) == loop.label_vector(name)
-            ).all(), name
-
-    def test_unknown_engine_rejected(self, toy):
-        _rib, classifier = toy
-        with pytest.raises(ValueError):
-            classifier.classify(flow_table([("60.0.5.5", 100)]), engine="gpu")
+            assert (matrix.label_vector(name) == loop[name]).all(), name
 
     def test_empty_flow_table(self, toy):
         _rib, classifier = toy
-        for engine in ("matrix", "loop"):
-            result = classifier.classify(FlowTable.empty(), engine=engine)
-            for name in classifier.approach_names:
-                assert result.label_vector(name).size == 0
-            assert result.stats.n_flows == 0
+        result = classifier.classify(FlowTable.empty())
+        loop = reference.classify_labels(classifier, FlowTable.empty())
+        for name in classifier.approach_names:
+            assert result.label_vector(name).size == 0
+            assert loop[name].size == 0
+        assert result.stats.n_flows == 0
 
     def test_member_absent_from_bgp_all_routed_invalid(self, toy):
         # AS 9999 was never observed in BGP: every routed flow it
-        # injects is Invalid (zero validity row), under both engines.
+        # injects is Invalid (zero validity row), under the matrix
+        # gather and the reference loop alike.
         _rib, classifier = toy
         table = flow_table(
             [("60.0.5.5", 9999), ("20.0.0.9", 9999), ("9.9.9.9", 9999)]
         )
-        for engine in ("matrix", "loop"):
-            result = classifier.classify(table, engine=engine)
-            for name in classifier.approach_names:
-                labels = result.label_vector(name)
+        result = classifier.classify(table)
+        loop = reference.classify_labels(classifier, table)
+        for name in classifier.approach_names:
+            for labels in (result.label_vector(name), loop[name]):
                 assert labels[0] == int(TrafficClass.INVALID)
                 assert labels[1] == int(TrafficClass.INVALID)
                 assert labels[2] == int(TrafficClass.UNROUTED)
@@ -158,6 +158,20 @@ class TestStream:
         stream = classifier.classify_stream(table.iter_chunks(1))
         assert stream.n_chunks == 2
         assert stream.n_flows == 2
+
+    @pytest.mark.parametrize("policy", (None, "fail_fast"))
+    @pytest.mark.parametrize("n_workers", (None, 2))
+    def test_nonpositive_chunk_rows_rejected(self, toy, policy, n_workers):
+        # Unchecked, a negative step schedules no row range on the
+        # fork whole-table path and reports an empty, "complete" run.
+        _rib, classifier = toy
+        table = flow_table([("60.0.5.5", 100)] * 8)
+        for chunk_rows in (0, -3):
+            with pytest.raises(ValueError, match="chunk_rows"):
+                classifier.classify_stream(
+                    table, n_workers=n_workers, chunk_rows=chunk_rows,
+                    policy=policy,
+                )
 
     def test_stream_empty(self, toy):
         _rib, classifier = toy

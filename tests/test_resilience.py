@@ -7,6 +7,7 @@ a fault-free one. Lenient ingest must load every good record of a
 corrupted file and report every bad line number exactly.
 """
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -208,13 +209,15 @@ class TestSerialPolicies:
             )
         assert excinfo.value.chunk_index == 2
 
-    def test_no_policy_propagates_raw(self, toy, eight_rows):
+    def test_no_policy_means_fail_fast(self, toy, eight_rows):
         _rib, classifier = toy
         plan = FaultPlan((FaultSpec("corrupt", 0, attempt=0, scope="any"),))
-        with pytest.raises(InjectedCorruption):
+        with pytest.raises(ClassificationError) as excinfo:
             classifier.classify_stream(
                 eight_rows, chunk_rows=2, fault_injector=plan
             )
+        assert excinfo.value.chunk_index == 0
+        assert isinstance(excinfo.value.__cause__, InjectedCorruption)
 
 
 class TestSupervisedParallel:
@@ -402,6 +405,49 @@ class TestSupervisedParallel:
             ).all(), name
 
 
+class TestNoWorkerOutlivesStream:
+    """Every pool process is reaped before ``classify_stream`` returns."""
+
+    def test_clean_run(self, toy, eight_rows):
+        _rib, classifier = toy
+        stream = classifier.classify_stream(
+            eight_rows, chunk_rows=2, n_workers=2
+        )
+        assert stream.n_flows == len(eight_rows)
+        assert multiprocessing.active_children() == []
+
+    def test_fail_fast_worker_error(self, toy, eight_rows):
+        _rib, classifier = toy
+        plan = FaultPlan((FaultSpec("crash", 1),))
+        with pytest.raises(WorkerError):
+            classifier.classify_stream(
+                eight_rows, chunk_rows=2, n_workers=2, policy="fail_fast",
+                fault_injector=plan,
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_reclaimed_under_retry(self, toy, eight_rows):
+        _rib, classifier = toy
+        plan = FaultPlan((FaultSpec("die", 1),))
+        policy = FailurePolicy(
+            mode="retry", max_retries=1, chunk_timeout=1.5, backoff_base=0.01
+        )
+        stream = classifier.classify_stream(
+            eight_rows, chunk_rows=2, n_workers=2, policy=policy,
+            fault_injector=plan,
+        )
+        assert stream.failures and stream.complete
+        assert multiprocessing.active_children() == []
+
+    def test_shm_transport(self, toy, eight_rows):
+        _rib, classifier = toy
+        stream = classifier.classify_stream(
+            eight_rows, chunk_rows=2, n_workers=2, transport="shm"
+        )
+        assert stream.n_flows == len(eight_rows)
+        assert multiprocessing.active_children() == []
+
+
 class TestWorldIntegration:
     def test_world_optional_fields(self, bgp_only_world):
         assert bgp_only_world.scenario is None
@@ -467,6 +513,16 @@ class TestCLIClassify:
             build_parser().parse_args(
                 ["classify", "flows.csv", "--policy", "explode"]
             )
+
+    @pytest.mark.parametrize("command", (["classify", "flows.csv"], ["watch"]))
+    @pytest.mark.parametrize("value", ("0", "-3"))
+    def test_chunk_rows_must_be_positive(self, command, value, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, "--chunk-rows", value])
+        assert excinfo.value.code == 2
+        assert "--chunk-rows" in capsys.readouterr().err
 
     def test_classify_quarantined_csv(self, tiny_world, tmp_path, capsys):
         from repro.cli import main

@@ -232,7 +232,7 @@ class TestFlowRing:
 
 
 class TestShmParity:
-    def test_unsupervised_bit_equal_to_pickle(self, toy, dev_shm_clean):
+    def test_default_policy_bit_equal_to_pickle(self, toy, dev_shm_clean):
         _rib, classifier = toy
         table = random_table(600)
         pickled = classifier.classify_stream(

@@ -73,7 +73,7 @@ class PoolDiscipline(Checker):
                     self.rule,
                     f"raw process pool ({resolved}) outside the "
                     "supervised classifier path; use "
-                    "SpoofingClassifier.classify_stream(policy=...) "
+                    "SpoofingClassifier.classify_stream(n_workers=...) "
                     "or extend the allowlist deliberately",
                 )
 
