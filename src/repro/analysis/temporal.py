@@ -98,9 +98,7 @@ def temporal_study(
     ribs: list[GlobalRIB] = []
     for boundary in boundaries:
         rib = GlobalRIB()
-        for observation in observations:
-            if observation.timestamp <= boundary:
-                rib.add(observation)
+        rib.add_all(obs for obs in observations if obs.timestamp <= boundary)
         ribs.append(rib)
     # Sample the AS panel once, from the first window, so the mean is
     # comparable across windows (the union RIB only ever grows).

@@ -47,7 +47,7 @@ class RouteObservation:
     source: str  # e.g. "rrc00", "route-views2", "ixp-rs"
     timestamp: int = 0
     from_update: bool = False  # True: update message, False: table dump
-    #: In the batch pipeline (``GlobalRIB.add``) withdrawal messages
+    #: In the batch pipeline (``GlobalRIB.add_all``) withdrawal messages
     #: are recorded but do NOT remove state: the paper unions all dumps
     #: and updates over the window ("to acquire an as-complete-as-
     #: possible picture"), so a route withdrawn mid-window still counts

@@ -11,18 +11,17 @@ the best route of *every* AS using the standard policy model:
   provider routes; within a class, shorter AS paths win.
 
 The implementation is the classic three-phase BFS (uphill, one peer
-hop, downhill), O(V + E) per origin group. Paths are reconstructed
-lazily at the requested observation ASes only.
+hop, downhill), O(V + E) per origin group, over tuple adjacency lists.
+Paths are reconstructed lazily at the requested observation ASes only,
+once per AS and outcome.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from collections.abc import Iterable
 
 from repro.topology.model import ASTopology
-from repro.topology.policies import AnnouncementPolicy
 from repro.util.indexing import AsnIndexer
 
 
@@ -35,56 +34,70 @@ class RouteType(enum.IntEnum):
     PROVIDER = 3
 
 
+_NONE = int(RouteType.NONE)
+_CUSTOMER = int(RouteType.CUSTOMER)
+_PEER = int(RouteType.PEER)
+_PROVIDER = int(RouteType.PROVIDER)
+
+
 class RoutingOutcome:
     """Best routes of all ASes for one (origin, announcement group).
 
-    Exposes path reconstruction at arbitrary ASes; internal arrays are
-    index-based for speed.
+    ``parent[i]`` is the dense index of AS ``i``'s next hop towards the
+    origin (-1 at the origin, -2 when ``i`` has no route) and
+    ``rtype[i]`` the :class:`RouteType` value of its best route. Paths
+    are reconstructed on demand and memoised: one outcome feeds every
+    collector and route-server observation point.
     """
 
-    __slots__ = ("_indexer", "_parent", "_rtype", "origin")
+    __slots__ = ("_asns", "_indexer", "_paths", "origin", "parent", "rtype")
 
     def __init__(
         self,
         indexer: AsnIndexer,
+        asns: list[int],
         parent: list[int],
         rtype: list[int],
         origin: int,
     ) -> None:
         self._indexer = indexer
-        self._parent = parent
-        self._rtype = rtype
+        self._asns = asns
+        self._paths: dict[int, tuple[int, ...] | None] = {}
+        self.parent = parent
+        self.rtype = rtype
         self.origin = origin
 
     def has_route(self, asn: int) -> bool:
         index = self._indexer.index_or_none(asn)
-        return index is not None and self._rtype[index] != RouteType.NONE
+        return index is not None and self.rtype[index] != _NONE
 
     def route_type(self, asn: int) -> RouteType:
         index = self._indexer.index(asn)
-        return RouteType(self._rtype[index])
+        return RouteType(self.rtype[index])
 
     def path_from(self, asn: int) -> tuple[int, ...] | None:
         """AS path as announced by ``asn``: ``(asn, ..., origin)``."""
+        try:
+            return self._paths[asn]
+        except KeyError:
+            pass
         index = self._indexer.index_or_none(asn)
-        if index is None or self._rtype[index] == RouteType.NONE:
-            return None
-        path = [self._indexer.asn(index)]
-        guard = 0
-        while self._parent[index] >= 0:
-            index = self._parent[index]
-            path.append(self._indexer.asn(index))
-            guard += 1
-            if guard > len(self._indexer):  # pragma: no cover - safety net
-                raise RuntimeError("parent cycle in routing outcome")
-        return tuple(path)
+        path: tuple[int, ...] | None = None
+        if index is not None and self.rtype[index] != _NONE:
+            asns, parent = self._asns, self.parent
+            hops = [asns[index]]
+            index = parent[index]
+            while index >= 0:
+                hops.append(asns[index])
+                index = parent[index]
+            path = tuple(hops)
+        self._paths[asn] = path
+        return path
 
     def routed_asns(self) -> list[int]:
         """All ASes that have a route to the origin."""
         return [
-            self._indexer.asn(i)
-            for i, rtype in enumerate(self._rtype)
-            if rtype != RouteType.NONE
+            self._asns[i] for i, rtype in enumerate(self.rtype) if rtype != _NONE
         ]
 
 
@@ -92,27 +105,24 @@ class RoutePropagator:
     """Propagates announcements over an :class:`ASTopology`."""
 
     def __init__(self, topo: ASTopology) -> None:
-        self._topo = topo
         self._indexer = AsnIndexer(topo.ases)
-        n = len(self._indexer)
+        self._asns = self._indexer.asns()
+        index = self._indexer.index
+        uphill: list[tuple[int, ...]] = [()] * len(self._asns)
+        downhill: list[tuple[int, ...]] = [()] * len(self._asns)
+        peers: list[tuple[int, ...]] = [()] * len(self._asns)
         # Uphill: edges from an AS to those it announces customer routes
         # to upstream (providers + siblings). Downhill: customers +
         # siblings. Peers: plain peer links.
-        self._uphill: list[list[int]] = [[] for _ in range(n)]
-        self._downhill: list[list[int]] = [[] for _ in range(n)]
-        self._peers: list[list[int]] = [[] for _ in range(n)]
         for asn, node in topo.ases.items():
-            index = self._indexer.index(asn)
-            for provider in node.providers:
-                self._uphill[index].append(self._indexer.index(provider))
-            for customer in node.customers:
-                self._downhill[index].append(self._indexer.index(customer))
-            for sibling in node.siblings:
-                sibling_index = self._indexer.index(sibling)
-                self._uphill[index].append(sibling_index)
-                self._downhill[index].append(sibling_index)
-            for peer in node.peers:
-                self._peers[index].append(self._indexer.index(peer))
+            i = index(asn)
+            siblings = tuple(index(s) for s in node.siblings)
+            uphill[i] = tuple(index(p) for p in node.providers) + siblings
+            downhill[i] = tuple(index(c) for c in node.customers) + siblings
+            peers[i] = tuple(index(p) for p in node.peers)
+        self._uphill = uphill
+        self._downhill = downhill
+        self._peers = peers
 
     @property
     def indexer(self) -> AsnIndexer:
@@ -128,93 +138,58 @@ class RoutePropagator:
         ``first_hops`` restricts which neighbors the origin announces
         to (selective announcement); ``None`` means all neighbors.
         """
-        n = len(self._indexer)
         origin_index = self._indexer.index(origin)
-        allowed: set[int] | None = None
+        uphill, peers, downhill = self._uphill, self._peers, self._downhill
         if first_hops is not None:
+            # Only the origin's own edges can break the restriction, so
+            # swap in filtered copies of exactly those three lists.
             allowed = {
                 idx
                 for asn in first_hops
                 if (idx := self._indexer.index_or_none(asn)) is not None
             }
+            uphill, peers, downhill = (
+                _restricted(edges, origin_index, allowed)
+                for edges in (uphill, peers, downhill)
+            )
 
-        parent = [-2] * n  # -2 = unreached, -1 = origin
-        rtype = [int(RouteType.NONE)] * n
+        parent = [-2] * len(self._asns)  # -2 = unreached, -1 = origin
+        rtype = [_NONE] * len(self._asns)
         parent[origin_index] = -1
-        rtype[origin_index] = int(RouteType.CUSTOMER)
+        rtype[origin_index] = _CUSTOMER
 
-        customer_order = self._uphill_phase(origin_index, allowed, parent, rtype)
-        self._peer_phase(origin_index, allowed, customer_order, parent, rtype)
-        self._downhill_phase(origin_index, allowed, parent, rtype)
-        return RoutingOutcome(self._indexer, parent, rtype, origin)
-
-    # -- phases ---------------------------------------------------------
-
-    def _first_hop_ok(
-        self, source: int, target: int, origin_index: int, allowed: set[int] | None
-    ) -> bool:
-        return source != origin_index or allowed is None or target in allowed
-
-    def _uphill_phase(
-        self,
-        origin_index: int,
-        allowed: set[int] | None,
-        parent: list[int],
-        rtype: list[int],
-    ) -> list[int]:
-        """BFS along uphill edges; returns nodes in discovery order."""
+        # Uphill BFS; ``order`` is its queue and its discovery order
+        # (a list iterator visits what is appended while it runs).
         order = [origin_index]
-        queue = deque([origin_index])
-        while queue:
-            current = queue.popleft()
-            for upstream in self._uphill[current]:
-                if parent[upstream] != -2:
-                    continue
-                if not self._first_hop_ok(current, upstream, origin_index, allowed):
-                    continue
-                parent[upstream] = current
-                rtype[upstream] = int(RouteType.CUSTOMER)
-                order.append(upstream)
-                queue.append(upstream)
-        return order
+        for current in order:
+            for upstream in uphill[current]:
+                if parent[upstream] == -2:
+                    parent[upstream] = current
+                    rtype[upstream] = _CUSTOMER
+                    order.append(upstream)
+        # One peer hop; discovery order keeps peer routes shortest.
+        reached = order.copy()
+        for current in order:
+            for peer in peers[current]:
+                if parent[peer] == -2:
+                    parent[peer] = current
+                    rtype[peer] = _PEER
+                    reached.append(peer)
+        # Downhill BFS seeded with every reached AS in index order.
+        reached.sort()
+        for current in reached:
+            for downstream in downhill[current]:
+                if parent[downstream] == -2:
+                    parent[downstream] = current
+                    rtype[downstream] = _PROVIDER
+                    reached.append(downstream)
+        return RoutingOutcome(self._indexer, self._asns, parent, rtype, origin)
 
-    def _peer_phase(
-        self,
-        origin_index: int,
-        allowed: set[int] | None,
-        customer_order: list[int],
-        parent: list[int],
-        rtype: list[int],
-    ) -> None:
-        # Iterating in BFS discovery order keeps peer routes shortest.
-        for current in customer_order:
-            for peer in self._peers[current]:
-                if parent[peer] != -2:
-                    continue
-                if not self._first_hop_ok(current, peer, origin_index, allowed):
-                    continue
-                parent[peer] = current
-                rtype[peer] = int(RouteType.PEER)
 
-    def _downhill_phase(
-        self,
-        origin_index: int,
-        allowed: set[int] | None,
-        parent: list[int],
-        rtype: list[int],
-    ) -> None:
-        queue = deque(
-            index for index in range(len(parent)) if parent[index] != -2
-        )
-        while queue:
-            current = queue.popleft()
-            for downstream in self._downhill[current]:
-                if parent[downstream] != -2:
-                    continue
-                if not self._first_hop_ok(
-                    current, downstream, origin_index, allowed
-                ):
-                    continue
-                parent[downstream] = current
-                rtype[downstream] = int(RouteType.PROVIDER)
-                queue.append(downstream)
+def _restricted(
+    edges: list[tuple[int, ...]], origin_index: int, allowed: set[int]
+) -> list[tuple[int, ...]]:
+    """``edges`` with the origin's list cut down to ``allowed`` targets."""
+    edges = edges.copy()
+    edges[origin_index] = tuple(t for t in edges[origin_index] if t in allowed)
+    return edges

@@ -13,10 +13,12 @@ detection method needs:
 * the set of unique AS paths (relationship inference's raw material),
 * exclusive coverage per prefix/origin in /24 equivalents (Figure 2).
 
-Two ingest modes share one bookkeeping core:
+Two ingest modes keep the same bookkeeping (routes per prefix, origin
+votes, refcounted paths, ASNs and adjacencies):
 
-* :meth:`GlobalRIB.add` — the paper's batch *union* semantics.
-  Withdrawals are counted, never applied.
+* :meth:`GlobalRIB.add_all` — the paper's batch *union* semantics, one
+  loop over the whole stream (:meth:`GlobalRIB.add` is a one-item
+  batch). Withdrawals are counted, never applied.
 * :meth:`GlobalRIB.apply` — the online pipeline's *delta* semantics.
   A withdrawal removes exactly the live ``(prefix, path)`` route it
   names; announcements (re-)install routes. Each call returns a
@@ -132,7 +134,6 @@ class GlobalRIB:
         self._withdrawals_applied = 0
         self._withdrawals_ignored = 0
         self._path_member_cache: dict[tuple[int, ...], frozenset[int]] = {}
-        self._seen_routes: set[tuple[int, tuple[int, ...]]] = set()
         self._finalized: "_FinalizedRIB | None" = None
 
     # -- construction -----------------------------------------------------
@@ -140,25 +141,97 @@ class GlobalRIB:
     def add(self, observation: RouteObservation) -> bool:
         """Ingest one observation; returns False if filtered or duplicate.
 
+        A one-observation :meth:`add_all`.
+        """
+        return self.add_all((observation,)) == 1
+
+    def add_all(self, observations: Iterable[RouteObservation]) -> int:
+        """Ingest a stream with union semantics; returns accepted count.
+
         Withdrawals are counted but never remove state — the window
         RIB is the *union* of everything observed (Section 3.3).
         Re-observations of an already-known ``(prefix, path)`` route
         are no-ops: they neither count as accepted nor invalidate the
         finalized vectorised views.
+
+        One loop over the stream: a path's ASN and adjacency support
+        and its member set are computed once, when the path is new to
+        the RIB. Prefixes, paths and adjacencies are inserted in
+        first-seen order, so every container iterates exactly as if
+        the observations had been ingested one at a time.
         """
-        if observation.withdrawal:
-            self._withdrawals += 1
-            self._withdrawals_ignored += 1
-            return False
-        accepted = self._ingest_announce(observation, None)
-        if accepted:
-            self._finalized = None
+        prefix_ids = self._prefix_ids
+        prefixes = self._prefixes
+        origins_per_prefix = self._origins_per_prefix
+        members_per_prefix = self._path_members_per_prefix
+        paths_per_prefix = self._paths_per_prefix
+        routes_per_path = self._routes_per_path
+        member_cache = self._path_member_cache
+        asn_support = self._asn_support
+        adj_support = self._adj_support
+        paths = self._paths
+        adjacencies = self._adjacencies
+        accepted = duplicates = discarded = withdrawals = 0
+        try:
+            for observation in observations:
+                if observation.withdrawal:
+                    withdrawals += 1
+                    continue
+                prefix = observation.prefix
+                path = observation.path
+                prefix_id = prefix_ids.get(prefix)
+                if prefix_id is None:
+                    if not MIN_PLEN <= prefix.length <= MAX_PLEN:
+                        discarded += 1
+                        continue
+                    prefix_id = len(prefixes)
+                    prefix_ids[prefix] = prefix_id
+                    prefixes.append(prefix)
+                    origins_per_prefix.append(defaultdict(int))
+                    members_per_prefix.append(set())
+                    paths_per_prefix.append({path})
+                else:
+                    # Insert first, then test by size: one path hash
+                    # serves the duplicate check and the insert.
+                    prefix_paths = paths_per_prefix[prefix_id]
+                    known = len(prefix_paths)
+                    prefix_paths.add(path)
+                    if len(prefix_paths) == known:
+                        duplicates += 1
+                        continue
+                accepted += 1
+                origins_per_prefix[prefix_id][path[-1]] += 1
+                routes = routes_per_path.get(path, 0)
+                routes_per_path[path] = routes + 1
+                if routes:
+                    members = member_cache[path]
+                else:
+                    members = member_cache[path] = frozenset(path)
+                    paths.add(path)
+                    for asn in members:
+                        asn_support[asn] = asn_support.get(asn, 0) + 1
+                    for pair in path_adjacencies(path):
+                        count = adj_support.get(pair, 0)
+                        if not count:
+                            adjacencies.add(pair)
+                        adj_support[pair] = count + 1
+                prefix_members = members_per_prefix[prefix_id]
+                if not members <= prefix_members:
+                    prefix_members.update(members - prefix_members)
+        finally:
+            self._accepted += accepted
+            self._duplicates += duplicates
+            self._discarded += discarded
+            self._withdrawals += withdrawals
+            self._withdrawals_ignored += withdrawals
+            if accepted:
+                self._finalized = None
         return accepted
 
     def apply(self, observation: RouteObservation) -> RIBDelta:
         """Ingest one observation with delta semantics; patch views.
 
-        Announcements install routes exactly as :meth:`add` does;
+        Announcements install routes exactly as :meth:`add_all` does;
         withdrawals remove the live ``(prefix, path)`` route they name
         (withdrawals of unknown or already-withdrawn routes are counted
         as ignored and change nothing — see :attr:`num_withdrawals_ignored`).
@@ -189,16 +262,16 @@ class GlobalRIB:
         return delta
 
     def _ingest_announce(
-        self, observation: RouteObservation, delta: RIBDelta | None
+        self, observation: RouteObservation, delta: RIBDelta
     ) -> bool:
-        """Shared announce path for union (:meth:`add`) and delta mode."""
+        """Delta-mode announcement: install one (prefix, path) route."""
         prefix = observation.prefix
         if not MIN_PLEN <= prefix.length <= MAX_PLEN:
             self._discarded += 1
             return False
         prefix_id = self._prefix_ids.get(prefix)
         path = observation.path
-        if prefix_id is not None and (prefix_id, path) in self._seen_routes:
+        if prefix_id is not None and path in self._paths_per_prefix[prefix_id]:
             self._duplicates += 1
             return False
         self._accepted += 1
@@ -209,12 +282,10 @@ class GlobalRIB:
             self._origins_per_prefix.append(defaultdict(int))
             self._path_members_per_prefix.append(set())
             self._paths_per_prefix.append(set())
-            if delta is not None:
-                delta.new_prefix_ids.append(prefix_id)
+            delta.new_prefix_ids.append(prefix_id)
         origins = self._origins_per_prefix[prefix_id]
         was_live = bool(origins)
         old_origin = self._majority_origin(prefix_id) if was_live else None
-        self._seen_routes.add((prefix_id, path))
         self._paths_per_prefix[prefix_id].add(path)
         origins[path[-1]] += 1
         members = self._path_member_cache.get(path)
@@ -225,32 +296,28 @@ class GlobalRIB:
             self._paths.add(path)
             for asn in members:
                 count = self._asn_support.get(asn, 0)
-                if count == 0 and delta is not None:
+                if count == 0:
                     delta.new_asns.add(asn)
                 self._asn_support[asn] = count + 1
             for pair in path_adjacencies(path):
                 count = self._adj_support.get(pair, 0)
                 if count == 0:
                     self._adjacencies.add(pair)
-                    if delta is not None:
-                        delta.added_adjacencies.append(pair)
+                    delta.added_adjacencies.append(pair)
                 self._adj_support[pair] = count + 1
-            if delta is not None:
-                delta.added_paths.append(path)
+            delta.added_paths.append(path)
         self._routes_per_path[path] = self._routes_per_path.get(path, 0) + 1
         prefix_members = self._path_members_per_prefix[prefix_id]
         added_members = members - prefix_members
         if added_members:
             prefix_members.update(added_members)
-            if delta is not None:
-                delta.members_added[prefix_id] = set(added_members)
-        if delta is not None:
-            new_origin = self._majority_origin(prefix_id)
-            if not was_live:
-                delta.prefixes_now_live.append(prefix_id)
-                delta.origin_changes[prefix_id] = new_origin
-            elif new_origin != old_origin:
-                delta.origin_changes[prefix_id] = new_origin
+            delta.members_added[prefix_id] = set(added_members)
+        new_origin = self._majority_origin(prefix_id)
+        if not was_live:
+            delta.prefixes_now_live.append(prefix_id)
+            delta.origin_changes[prefix_id] = new_origin
+        elif new_origin != old_origin:
+            delta.origin_changes[prefix_id] = new_origin
         return True
 
     def _ingest_withdraw(
@@ -260,13 +327,12 @@ class GlobalRIB:
         self._withdrawals += 1
         prefix_id = self._prefix_ids.get(observation.prefix)
         path = observation.path
-        if prefix_id is None or (prefix_id, path) not in self._seen_routes:
+        if prefix_id is None or path not in self._paths_per_prefix[prefix_id]:
             # Never-announced prefix, unknown path, or duplicate
             # withdrawal: counted once here, never double-applied.
             self._withdrawals_ignored += 1
             return False
         self._withdrawals_applied += 1
-        self._seen_routes.discard((prefix_id, path))
         self._paths_per_prefix[prefix_id].discard(path)
         origins = self._origins_per_prefix[prefix_id]
         old_origin = self._majority_origin(prefix_id)
@@ -314,14 +380,6 @@ class GlobalRIB:
     def _majority_origin(self, prefix_id: int) -> int:
         origins = self._origins_per_prefix[prefix_id]
         return max(origins, key=lambda asn: (origins[asn], -asn))
-
-    def add_all(self, observations: Iterable[RouteObservation]) -> int:
-        """Ingest a stream; returns the number of accepted observations."""
-        accepted = 0
-        for observation in observations:
-            if self.add(observation):
-                accepted += 1
-        return accepted
 
     @classmethod
     def from_observations(
@@ -387,7 +445,7 @@ class GlobalRIB:
     @property
     def num_live_routes(self) -> int:
         """Live (prefix, path) routes currently installed."""
-        return len(self._seen_routes)
+        return sum(map(len, self._paths_per_prefix))
 
     def prefixes(self) -> list[Prefix]:
         return list(self._prefixes)
@@ -457,11 +515,11 @@ class GlobalRIB:
         import hashlib
 
         digest = hashlib.sha256()
-        for prefix_id, path in sorted(self._seen_routes):
-            prefix = self._prefixes[prefix_id]
-            digest.update(
-                f"{prefix}|{','.join(map(str, path))}\n".encode()
-            )
+        for prefix, prefix_paths in zip(self._prefixes, self._paths_per_prefix):
+            for path in sorted(prefix_paths):
+                digest.update(
+                    f"{prefix}|{','.join(map(str, path))}\n".encode()
+                )
         for prefix_id in self.live_prefix_ids():
             votes = sorted(self._origins_per_prefix[prefix_id].items())
             digest.update(f"{prefix_id}:{votes}\n".encode())

@@ -1,6 +1,6 @@
 """Drive route propagation and produce the observed BGP dataset.
 
-One propagation run per (origin, announcement group) feeds every
+One propagation run per (origin, distinct first-hop set) feeds every
 observation point at once: each collector records paths at its peers,
 and the IXP route server records the customer routes its members
 export. A small churn model stamps a slice of the observations as
@@ -10,17 +10,20 @@ RIB builder exercises the dump + update union the paper performs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from repro.bgp.collector import CollectorSystem
 from repro.bgp.messages import RouteObservation
-from repro.bgp.propagation import RoutePropagator, RouteType
+from repro.bgp.propagation import RoutePropagator, RouteType, RoutingOutcome
 from repro.bgp.routeserver import RouteServer
+from repro.net.prefix import Prefix
 from repro.topology.model import ASTopology
 from repro.topology.policies import AnnouncementPolicy
 from repro.util.timeconst import MEASUREMENT_SECONDS
+
+_CUSTOMER = int(RouteType.CUSTOMER)
 
 
 def simulate_bgp(
@@ -50,35 +53,62 @@ def simulate_bgp(
     """
     propagator = RoutePropagator(topo)
     rs_members = set(route_server.member_asns) if route_server else set()
+    # Dense indices of the route-server members, in the set's order.
+    rs_targets = [
+        (member, propagator.indexer.index_or_none(member))
+        for member in rs_members
+    ]
     for origin in sorted(policies):
         policy = policies[origin]
         churned = rng.random() < churn_fraction
         timestamp = int(rng.integers(1, MEASUREMENT_SECONDS)) if churned else 0
+        outcome_of = _OriginOutcomes(propagator, origin)
         for group in policy.groups:
             if not group.prefixes:
                 continue
-            first_hops = group.first_hops
-            outcome = propagator.propagate(origin, first_hops)
+            outcome = outcome_of(group.first_hops)
             yield from _collector_observations(
                 collectors, outcome, group.prefixes, timestamp, churned
             )
             if route_server is not None:
                 yield from _route_server_observations(
-                    route_server, rs_members, outcome, group.prefixes,
+                    rs_targets, outcome, group.prefixes,
                     timestamp, churned, rng, rs_export_fraction,
                 )
         yield from _failover_observations(
-            topo, propagator, collectors, route_server, rs_members,
+            topo, outcome_of, collectors, route_server, rs_targets,
             policy, rng, failover_prob, rs_export_fraction,
         )
 
 
+class _OriginOutcomes:
+    """One propagation per distinct first-hop set of one origin.
+
+    Groups announced to the same neighbors, and the failover's
+    pre-failure routes, share one :class:`RoutingOutcome` (and with it
+    the outcome's memoised paths).
+    """
+
+    def __init__(self, propagator: RoutePropagator, origin: int) -> None:
+        self._propagator = propagator
+        self._origin = origin
+        self._outcomes: dict[frozenset[int] | None, RoutingOutcome] = {}
+
+    def __call__(self, first_hops: Iterable[int] | None = None) -> RoutingOutcome:
+        key = None if first_hops is None else frozenset(first_hops)
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            outcome = self._propagator.propagate(self._origin, first_hops)
+            self._outcomes[key] = outcome
+        return outcome
+
+
 def _failover_observations(
     topo: ASTopology,
-    propagator: RoutePropagator,
+    outcome_of: _OriginOutcomes,
     collectors: CollectorSystem,
     route_server: RouteServer | None,
-    rs_members: set[int],
+    rs_targets: list[tuple[int, int | None]],
     policy: AnnouncementPolicy,
     rng: np.random.Generator,
     failover_prob: float,
@@ -98,7 +128,7 @@ def _failover_observations(
         return
     timestamp = int(rng.integers(2, MEASUREMENT_SECONDS))
     # The failing link first withdraws the old best routes...
-    stable = propagator.propagate(origin)
+    stable = outcome_of(None)
     for group in open_groups:
         for collector in collectors.collectors:
             for peer in collector.peer_asns:
@@ -115,66 +145,63 @@ def _failover_observations(
                         withdrawal=True,
                     )
     # ...then the backup paths are announced.
-    outcome = propagator.propagate(origin, surviving)
+    outcome = outcome_of(surviving)
     for group in open_groups:
         yield from _collector_observations(
             collectors, outcome, group.prefixes, timestamp, True
         )
         if route_server is not None:
             yield from _route_server_observations(
-                route_server, rs_members, outcome, group.prefixes,
+                rs_targets, outcome, group.prefixes,
                 timestamp, True, rng, rs_export_fraction,
             )
 
 
 def _collector_observations(
     collectors: CollectorSystem,
-    outcome,
-    prefixes,
+    outcome: RoutingOutcome,
+    prefixes: list[Prefix],
     timestamp: int,
     from_update: bool,
 ) -> Iterator[RouteObservation]:
     for collector in collectors.collectors:
+        source = collector.name
         for peer in collector.peer_asns:
             path = outcome.path_from(peer)
             if path is None:
                 continue
             for prefix in prefixes:
-                yield RouteObservation(
-                    prefix=prefix,
-                    path=path,
-                    source=collector.name,
-                    timestamp=timestamp,
-                    from_update=from_update,
-                )
+                # Positional: keyword construction of this frozen
+                # dataclass costs about 1.6× as much per observation.
+                yield RouteObservation(prefix, path, source, timestamp, from_update)
 
 
 def _route_server_observations(
-    route_server: RouteServer,
-    rs_members: set[int],
-    outcome,
-    prefixes,
+    rs_targets: list[tuple[int, int | None]],
+    outcome: RoutingOutcome,
+    prefixes: list[Prefix],
     timestamp: int,
     from_update: bool,
     rng: np.random.Generator,
     rs_export_fraction: float,
 ) -> Iterator[RouteObservation]:
-    for member in rs_members:
+    """Customer routes the members export to the route server.
+
+    One ``rng.random()`` draw per member holding a customer route other
+    than the origin, in member order: the draw sequence is part of the
+    simulated data.
+    """
+    rtype = outcome.rtype
+    for member, index in rs_targets:
         if member == outcome.origin:
             path: tuple[int, ...] | None = (member,)
-        elif outcome.has_route(member) and outcome.route_type(member) is RouteType.CUSTOMER:
+        elif index is not None and rtype[index] == _CUSTOMER:
             if rng.random() >= rs_export_fraction:
                 continue  # member's RS export policy skips this route
             path = outcome.path_from(member)
         else:
             continue
-        if path is None:
-            continue
         for prefix in prefixes:
             yield RouteObservation(
-                prefix=prefix,
-                path=path,
-                source=RouteServer.SOURCE_NAME,
-                timestamp=timestamp,
-                from_update=from_update,
+                prefix, path, RouteServer.SOURCE_NAME, timestamp, from_update
             )

@@ -53,7 +53,12 @@ from repro.analysis.table1 import compute_table1
 from repro.bgp.rib import GlobalRIB
 from repro.core import TrafficClass, build_ingress_acl, evaluate_acl
 from repro.core.classifier import DEFAULT_CHUNK_ROWS
-from repro.errors import CheckpointCorruptionError, IngestError, Quarantine
+from repro.errors import (
+    CheckpointCorruptionError,
+    IngestError,
+    Quarantine,
+    WalCorruptionError,
+)
 from repro.experiments import WorldConfig, build_world
 from repro.experiments.runner import build_valid_space_maps
 from repro.io import load_flows_csv, load_flows_npz
@@ -363,6 +368,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             resume_point = recover(args.checkpoint_dir)
         except CheckpointCorruptionError as exc:
             print(f"unrecoverable checkpoint state: {exc}", file=sys.stderr)
+            return 4
+        except WalCorruptionError as exc:
+            print(f"unrecoverable WAL state: {exc}", file=sys.stderr)
             return 4
 
     if resume_point is not None and resume_point.checkpoint is not None:

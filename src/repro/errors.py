@@ -22,6 +22,8 @@ operators can route on fields instead of parsing strings:
   damaged write-ahead-log record mid-segment,
   :class:`CheckpointCorruptionError` when *no* stored checkpoint
   survives integrity checks (``repro watch --resume`` exits 4 on it).
+  Durable readers translate :data:`UNPICKLE_ERRORS` from ``pickle``
+  into these two rather than letting them escape.
 
 The lenient ingest mode (``on_error="quarantine"``) collects rejected
 records into a :class:`Quarantine` instead of aborting: every bad line
@@ -31,6 +33,7 @@ file cannot balloon memory.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 
@@ -186,6 +189,21 @@ class CheckpointCorruptionError(DurabilityError):
     generations; a single damaged newest checkpoint silently falls
     back to the previous one instead.
     """
+
+
+#: What ``pickle.loads`` raises on bytes that are not a pickle of
+#: importable objects: malformed opcodes or a truncated stream, a module
+#: or class that no longer exists, a constructor refusing its arguments.
+UNPICKLE_ERRORS: tuple[type[Exception], ...] = (
+    pickle.UnpicklingError,
+    EOFError,
+    ImportError,
+    AttributeError,
+    IndexError,
+    KeyError,
+    TypeError,
+    ValueError,
+)
 
 
 # -- quarantine -----------------------------------------------------------

@@ -43,7 +43,11 @@ import pickle
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.errors import CheckpointCorruptionError, DurabilityError
+from repro.errors import (
+    UNPICKLE_ERRORS,
+    CheckpointCorruptionError,
+    DurabilityError,
+)
 from repro.stream.state import OnlineValidState
 from repro.util.atomicio import atomic_write_bytes
 
@@ -163,13 +167,7 @@ class CheckpointStore:
         for path in candidates:
             try:
                 return self._load_one(path)
-            except (
-                DurabilityError,
-                OSError,
-                ValueError,
-                KeyError,
-                pickle.UnpicklingError,
-            ) as exc:
+            except (DurabilityError, OSError, ValueError, KeyError) as exc:
                 failures.append(f"{path.name}: {exc}")
         raise CheckpointCorruptionError(
             "no stored checkpoint survives verification",
@@ -199,14 +197,29 @@ class CheckpointStore:
             raise DurabilityError(
                 "checkpoint payload sha256 mismatch", path=str(path)
             )
-        state = pickle.loads(payload)
+        try:
+            state = pickle.loads(payload)
+        except UNPICKLE_ERRORS as exc:
+            raise DurabilityError(
+                f"checkpoint payload does not unpickle: "
+                f"{type(exc).__name__}: {exc}",
+                path=str(path),
+            ) from exc
         if not isinstance(state, OnlineValidState):
             raise DurabilityError(
                 f"checkpoint payload is a {type(state).__name__}, "
                 "not an OnlineValidState",
                 path=str(path),
             )
-        digest = state.state_digest()
+        try:
+            digest = state.state_digest()
+        except UNPICKLE_ERRORS as exc:
+            # An OnlineValidState shell without its fields unpickles
+            # fine and only fails here.
+            raise DurabilityError(
+                f"restored state is incomplete: {type(exc).__name__}: {exc}",
+                path=str(path),
+            ) from exc
         if digest != header["state_digest"]:
             raise DurabilityError(
                 "restored state digest mismatch "

@@ -49,7 +49,7 @@ import threading
 import zlib
 from collections.abc import Iterator
 
-from repro.errors import WalCorruptionError
+from repro.errors import UNPICKLE_ERRORS, WalCorruptionError
 from repro.stream.events import FlowEvent, RouteEvent, WatchEvent
 
 __all__ = ["DEFAULT_SEGMENT_BYTES", "WalWriter", "last_wal_seq", "replay_wal"]
@@ -342,14 +342,23 @@ def _read_record(
     want = zlib.crc32(payload, zlib.crc32(struct.pack("<QBI", seq, kind, length)))
     if crc != want:
         return None
-    if kind == _KIND_FLOW_OOB:
-        event = _decode_oob(payload)
-    elif kind in (_KIND_ROUTE, _KIND_FLOW):
-        event = pickle.loads(payload)
-    else:
+    if kind not in (_KIND_ROUTE, _KIND_FLOW, _KIND_FLOW_OOB):
         raise WalCorruptionError(
             f"unknown WAL record kind {kind}", path=str(segment), seq=seq
         )
+    try:
+        if kind == _KIND_FLOW_OOB:
+            event = _decode_oob(payload)
+        else:
+            event = pickle.loads(payload)
+    except (*UNPICKLE_ERRORS, struct.error) as exc:
+        # The crc matched, so these are the bytes that were written:
+        # not a torn tail but a record this build cannot decode.
+        raise WalCorruptionError(
+            f"WAL record does not unpickle: {type(exc).__name__}: {exc}",
+            path=str(segment),
+            seq=seq,
+        ) from exc
     return seq, event, start + length
 
 

@@ -61,11 +61,12 @@ class OnlineValidState:
     def warm_up(self, observations: Iterable[RouteObservation]) -> int:
         """Bulk-load table-dump observations through the union path.
 
-        Used before streaming starts: :meth:`GlobalRIB.add` skips all
-        per-event delta bookkeeping and finalized patching, so seeding
-        hundreds of thousands of dump entries stays cheap. Callers
-        must warm up *before* building approaches on the same RIB (or
-        construct the state afterwards). Returns accepted routes.
+        Used before streaming starts: :meth:`GlobalRIB.add_all` ingests
+        the whole batch in one loop without per-event delta bookkeeping
+        or finalized patching, so seeding hundreds of thousands of dump
+        entries stays cheap. Callers must warm up *before* building
+        approaches on the same RIB (or construct the state afterwards).
+        Returns accepted routes.
         """
         return self.rib.add_all(observations)
 

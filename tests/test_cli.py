@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.test_stream_durable import (
+    append_raw_wal_record,
+    rewrite_checkpoint_payload,
+)
 
 
 class TestParser:
@@ -47,3 +51,33 @@ class TestCommands:
 
     def test_acl_unknown_peer(self, capsys):
         assert main(["acl", "--preset", "tiny", "--peer", "999999"]) == 2
+
+
+class TestWatchResumeFromUnreadableState:
+    """``watch --resume`` exits 4, not with a traceback, when the stored
+    state passes its checksums but does not unpickle."""
+
+    PAYLOAD = b"crepro.bgp.rib\nNoSuchClass\n."
+
+    def _resume(self, directory):
+        return main(["watch", "--preset", "tiny", "--checkpoint-dir",
+                     str(directory), "--resume"])
+
+    def test_checkpoint_that_does_not_unpickle_exits_4(self, tmp_path, capsys):
+        from repro.stream.durable import CheckpointStore
+        from repro.testing.recovery import synthetic_state
+
+        path = CheckpointStore(tmp_path).save(
+            synthetic_state(), last_seq=1, last_window=0, last_timestamp=None
+        )
+        rewrite_checkpoint_payload(path, self.PAYLOAD)
+        assert self._resume(tmp_path) == 4
+        assert "unrecoverable checkpoint state" in capsys.readouterr().err
+
+    def test_wal_record_that_does_not_unpickle_exits_4(self, tmp_path, capsys):
+        from repro.stream.durable.daemon import WAL_SUBDIR
+
+        (tmp_path / WAL_SUBDIR).mkdir()
+        append_raw_wal_record(tmp_path / WAL_SUBDIR, 1, self.PAYLOAD)
+        assert self._resume(tmp_path) == 4
+        assert "unrecoverable WAL state" in capsys.readouterr().err

@@ -20,9 +20,12 @@ Tentpole contracts under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -201,6 +204,21 @@ class TestWal:
         with pytest.raises(WalCorruptionError):
             list(replay_wal(tmp_path))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b"cno_such_mod\nX\n.", b"crepro.bgp.rib\nNoSuchClass\n.", b"\x80\x05K"],
+        ids=["missing-module", "missing-class", "truncated"],
+    )
+    def test_crc_valid_record_that_does_not_unpickle_raises(
+        self, tmp_path, payload
+    ):
+        with WalWriter(tmp_path) as wal:
+            wal.append(wal_events()[0])
+        append_raw_wal_record(tmp_path, 2, payload)
+        with pytest.raises(WalCorruptionError) as err:
+            list(replay_wal(tmp_path))
+        assert err.value.seq == 2
+
     def test_sync_every_batches_fsync(self, tmp_path):
         with WalWriter(tmp_path, sync_every=16) as wal:
             for event in wal_events():
@@ -218,6 +236,34 @@ def window_digests(windows):
          dict(w.result.stats.invalid_counts))
         for w in windows
     ]
+
+
+def append_raw_wal_record(directory, seq, payload):
+    """Append a route record with a valid crc but arbitrary ``payload``
+    to the newest WAL segment (a new one when there is none)."""
+    from repro.stream.durable import wal as wal_mod
+
+    segments = sorted(directory.glob("wal-*.log"))
+    segment = segments[-1] if segments else directory / wal_mod._segment_name(seq)
+    kind, length = wal_mod._KIND_ROUTE, len(payload)
+    crc = zlib.crc32(payload, zlib.crc32(struct.pack("<QBI", seq, kind, length)))
+    with segment.open("ab") as handle:
+        handle.write(wal_mod._HEADER.pack(seq, kind, length, crc) + payload)
+
+
+def rewrite_checkpoint_payload(path, payload):
+    """Swap a checkpoint's payload, keeping its header self-consistent
+    (length and sha256), so only unpickling can reject it."""
+    blob = path.read_bytes()
+    magic_end = blob.index(b"{")
+    newline = blob.index(b"\n", magic_end)
+    header = json.loads(blob[magic_end:newline])
+    header["payload_bytes"] = len(payload)
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(
+        blob[:magic_end] + json.dumps(header, sort_keys=True).encode()
+        + b"\n" + payload
+    )
 
 
 class TestCheckpointStore:
@@ -282,6 +328,31 @@ class TestCheckpointStore:
             store.save(state, last_seq=seq, last_window=0, last_timestamp=None)
         for path in tmp_path.glob("checkpoint-*.ckpt"):
             path.write_bytes(b"not a checkpoint")
+        with pytest.raises(CheckpointCorruptionError) as err:
+            store.load_latest()
+        assert len(err.value.context["failures"]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"cno_such_mod\nX\n.",
+            b"crepro.bgp.rib\nNoSuchClass\n.",
+            # An OnlineValidState shell: unpickles, but holds no state.
+            b"\x80\x04crepro.stream.state\nOnlineValidState\n)\x81.",
+        ],
+        ids=["missing-module", "missing-class", "empty-state"],
+    )
+    def test_payload_that_does_not_restore_is_a_failed_generation(
+        self, tmp_path, payload
+    ):
+        state = synthetic_state()
+        store = CheckpointStore(tmp_path)
+        store.save(state, last_seq=5, last_window=1, last_timestamp=100)
+        newest = store.save(state, last_seq=9, last_window=2, last_timestamp=200)
+        rewrite_checkpoint_payload(newest, payload)
+        assert store.load_latest().last_seq == 5  # fell back
+        for path in tmp_path.glob("checkpoint-*.ckpt"):
+            rewrite_checkpoint_payload(path, payload)
         with pytest.raises(CheckpointCorruptionError) as err:
             store.load_latest()
         assert len(err.value.context["failures"]) == 2
