@@ -7,7 +7,7 @@ survive the run (pytest captures stdout); EXPERIMENTS.md records the
 paper-vs-measured comparison. Next to every artefact,
 ``save_artefact`` also writes a ``<name>.manifest.json``
 (:class:`repro.obs.RunManifest`) recording the seed, config, git SHA
-and stage timings that produced it, so a number in
+and the spans of the shared world's build, so a number in
 ``benchmarks/output/`` can always be traced to its exact run.
 """
 
@@ -24,15 +24,37 @@ from repro.datasets.peeringdb import build_peeringdb
 from repro.datasets.spoofer import run_spoofer_campaign
 from repro.datasets.whois import build_whois
 from repro.experiments import WorldConfig, build_world
-from repro.obs import RunManifest, manifest_path_for
+from repro.obs import (
+    RunManifest,
+    current_tracer,
+    enable_tracing,
+    manifest_path_for,
+)
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
-def world():
+def traced_world():
+    """The default-preset world and the spans of its build.
+
+    Tracing is on for the build only, so artefact manifests carry the
+    world's phase and classify stage timings while every benchmark
+    runs with tracing off.
+    """
+    enable_tracing()
+    try:
+        with current_tracer().capture() as spans:
+            world = build_world(WorldConfig.default())
+    finally:
+        enable_tracing(False)
+    return world, spans
+
+
+@pytest.fixture(scope="session")
+def world(traced_world):
     """The default-preset world shared by every benchmark."""
-    return build_world(WorldConfig.default())
+    return traced_world[0]
 
 
 @pytest.fixture(scope="session")
@@ -63,15 +85,16 @@ def artefact_dir():
 
 
 @pytest.fixture()
-def save_artefact(artefact_dir, world, request):
+def save_artefact(artefact_dir, traced_world, request):
     """Write a rendered table/figure to benchmarks/output/.
 
     Every artefact also gets a run manifest
     (``<name>.manifest.json``) next to it: the world seed and full
-    config, the repository SHA, versions, and the classifier stage
-    timings of the shared world — enough to re-run (or distrust)
-    the artefact years later.
+    config, the repository SHA, versions, and the build spans and
+    classify counters of the shared world — enough to re-run (or
+    distrust) the artefact years later.
     """
+    world, spans = traced_world
 
     def _save(name: str, text: str) -> None:
         out = artefact_dir / f"{name}.txt"
@@ -82,8 +105,12 @@ def save_artefact(artefact_dir, world, request):
             preset="default",
             config=dataclasses.asdict(world.config),
         )
-        stats = world.result.stats if world.result is not None else None
-        manifest.finish(stats=stats, extra={"artefact": str(out)})
+        counters = (
+            world.result.counters() if world.result is not None else {}
+        )
+        manifest.finish(
+            spans=spans, extra={**counters, "artefact": str(out)}
+        )
         manifest.write(manifest_path_for(out))
 
     return _save

@@ -27,12 +27,14 @@ Commands:
   truncated. Exits 4 when ``--resume`` finds checkpoints but none
   survives verification (unrecoverable corruption).
 * ``trace show <manifest>`` — render a recorded run manifest back as
-  a stage/span/metrics report.
+  a span/metrics report.
 
 Every world-building command also takes the observability flags:
-``--trace`` (record spans), ``--metrics-out FILE`` (export the
-metrics registry as JSON lines) and ``--manifest-out FILE`` (write
-the run manifest; implied by the other two). See
+``--stats`` (print the run's span table), ``--trace`` (write a run
+manifest with the spans), ``--metrics-out FILE`` (export the metrics
+registry as JSON lines) and ``--manifest-out FILE`` (write the run
+manifest; implied by ``--trace`` and ``--metrics-out``). Spans are the only timing
+ledger, so any of them turns tracing on. See
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -69,6 +71,7 @@ from repro.obs import (
     enable_tracing,
     manifest_path_for,
     peak_rss_bytes,
+    render_spans,
 )
 from repro.stream import (
     DurableWatch,
@@ -98,7 +101,7 @@ def _add_preset(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="also print classifier stage timings (rows/sec per stage)",
+        help="also print the run's span timings (rows/sec per span)",
     )
     parser.add_argument(
         "--trace",
@@ -139,14 +142,24 @@ def _obs_wanted(args: argparse.Namespace) -> bool:
     )
 
 
+def _timed(args: argparse.Namespace) -> bool:
+    """Whether this run records spans: for ``--stats`` or any manifest."""
+    return bool(
+        getattr(args, "stats", False)
+        or getattr(args, "window_manifests", None)
+        or _obs_wanted(args)
+    )
+
+
 def _obs_begin(args: argparse.Namespace, command: str) -> RunManifest | None:
-    """Arm tracing/metrics and open a manifest when requested."""
-    if not _obs_wanted(args):
+    """Arm tracing/metrics; open a manifest when one is requested."""
+    if not _timed(args):
         return None
     current_metrics().clear()
     current_tracer().drain()
-    if args.trace:
-        enable_tracing()
+    enable_tracing()
+    if not _obs_wanted(args):
+        return None
     preset = getattr(args, "preset", None)
     config = None
     if preset is not None:
@@ -166,28 +179,36 @@ def _obs_finish(
     args: argparse.Namespace,
     manifest: RunManifest | None,
     *,
-    stats=None,
+    result=None,
     extra_spans=(),
     exit_code: int = 0,
     complete: bool = True,
     default_path: str | pathlib.Path | None = None,
 ) -> None:
-    """Seal and write the manifest + metrics for one CLI run."""
+    """Print ``--stats``; seal and write the manifest + metrics.
+
+    ``result`` is the run's classification result (its ``counters()``
+    land in the manifest); ``extra_spans`` are span records a streamed
+    run carried out of the ambient tracer.
+    """
+    if not _timed(args):
+        return
+    spans = current_tracer().drain() + list(extra_spans)
+    if args.stats:
+        print()
+        print(render_spans(spans))
     if manifest is None:
         return
-    if args.trace:
-        enable_tracing(False)
-    spans = current_tracer().drain() + list(extra_spans)
     registry = current_metrics()
     registry.gauge("peak_rss_bytes").set(peak_rss_bytes())
     if args.metrics_out:
         registry.export_jsonl(args.metrics_out)
     manifest.finish(
-        stats=stats,
         spans=spans,
         metrics=registry,
         exit_code=exit_code,
         complete=complete,
+        extra=result.counters() if result is not None else None,
     )
     path = args.manifest_out or default_path
     if path is None:
@@ -196,22 +217,9 @@ def _obs_finish(
     print(f"run manifest: {path}", file=sys.stderr)
 
 
-def _print_stats(args: argparse.Namespace, world) -> None:
-    if getattr(args, "stats", False) and world.result is not None:
-        stats = world.result.stats
-        if stats is not None:
-            print()
-            print(stats.render())
-
-
 def _build(args: argparse.Namespace, with_traffic: bool = True):
     config = getattr(WorldConfig, args.preset)(seed=args.seed)
     return build_world(config, with_traffic=with_traffic)
-
-
-def _world_stats(world) -> object | None:
-    """The classifier stats of a built world (None without traffic)."""
-    return world.result.stats if world.result is not None else None
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
@@ -219,8 +227,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     world = _build(args)
     report = build_study_report(world)
     print(report.render())
-    _print_stats(args, world)
-    _obs_finish(args, manifest, stats=_world_stats(world))
+    _obs_finish(args, manifest, result=world.result)
     return 0
 
 
@@ -228,8 +235,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     manifest = _obs_begin(args, "table1")
     world = _build(args)
     print(compute_table1(world.result, world.ixp.sampling_rate).render())
-    _print_stats(args, world)
-    _obs_finish(args, manifest, stats=_world_stats(world))
+    _obs_finish(args, manifest, result=world.result)
     return 0
 
 
@@ -273,7 +279,7 @@ def _cmd_acl(args: argparse.Namespace) -> int:
     for prefix in acl.prefixes():
         print(prefix)
     print(f"# {report.render()}", file=sys.stderr)
-    _obs_finish(args, manifest, stats=_world_stats(world))
+    _obs_finish(args, manifest, result=world.result)
     return 0
 
 
@@ -325,9 +331,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             )
     if stream.failures:
         print(stream.failures.render(), file=sys.stderr)
-    if getattr(args, "stats", False):
-        print()
-        print(stream.stats.render())
     exit_code = 0
     if not stream.complete:
         print(
@@ -339,7 +342,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _obs_finish(
         args,
         manifest,
-        stats=stream.stats,
+        result=stream,
         extra_spans=stream.spans,
         exit_code=exit_code,
         complete=stream.complete,
@@ -436,6 +439,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         windows = itertools.islice(windows, args.windows)
     n_windows = 0
     n_flows = 0
+    window_spans = []
     incomplete = False
     interrupted = False
 
@@ -455,6 +459,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         for window in windows:
             n_windows += 1
             n_flows += window.n_flows
+            window_spans.extend(window.result.spans)
             incomplete = incomplete or not window.result.complete
             print(
                 f"{window.index:>8} {window.n_route_events:>7} "
@@ -483,7 +488,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     if incomplete:
         print("WARNING: at least one window is partial", file=sys.stderr)
     _obs_finish(
-        args, manifest, exit_code=exit_code, complete=not incomplete
+        args,
+        manifest,
+        extra_spans=window_spans,
+        exit_code=exit_code,
+        complete=not incomplete,
     )
     return exit_code
 
@@ -682,6 +691,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    finally:
+        if _timed(args):
+            enable_tracing(False)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

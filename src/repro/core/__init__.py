@@ -26,7 +26,6 @@ from repro.core.results import (
     StreamClassificationResult,
     summarize_chunk,
 )
-from repro.core.stats import PipelineStats, StageTiming
 from repro.core.evaluation import DetectionQuality, evaluate_against_truth
 from repro.core.filterlists import ACLReport, build_ingress_acl, evaluate_acl
 from repro.core.straydetect import (
@@ -42,9 +41,7 @@ __all__ = [
     "DetectionQuality",
     "FailureLog",
     "FailurePolicy",
-    "PipelineStats",
     "SpoofingClassifier",
-    "StageTiming",
     "StrayDetectionQuality",
     "StreamClassificationResult",
     "TrafficClass",

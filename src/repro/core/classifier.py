@@ -51,7 +51,6 @@ from repro.core.results import (
     summarize_chunk,
 )
 from repro.core.shmring import FlowRing, RingSpec, WorkerRing, stage_read
-from repro.core.stats import PipelineStats, StageClock
 from repro.cones.base import ValidSpaceMap
 from repro.datasets.bogons import bogon_prefix_set
 from repro.errors import ClassificationError, WorkerError
@@ -216,27 +215,39 @@ def _inject(chunk_index: int, attempt: int) -> None:
         _STREAM_INJECTOR(chunk_index, attempt, True)
 
 
+def _summarize(
+    classifier: "SpoofingClassifier", chunk: FlowTable, keep_labels: bool
+) -> ChunkSummary:
+    """Classify one chunk into a summary carrying its time and spans.
+
+    The chunk's span records are captured out of the ambient tracer
+    and travel back to the supervisor inside the summary, so
+    long-lived pool workers do not accumulate span ledgers across
+    chunks.
+    """
+    began = time.perf_counter()
+    with current_tracer().capture() as spans:
+        result = classifier.classify(chunk)
+    return summarize_chunk(
+        result,
+        keep_labels=keep_labels,
+        spans=spans,
+        seconds=time.perf_counter() - began,
+    )
+
+
 def _classify_and_summarize(
     chunk: FlowTable, keep_labels: bool
 ) -> "ChunkSummary | TriageDigest":
-    """Worker-side classify that captures the chunk's span records.
+    """Worker-side classify of one chunk (see :func:`_summarize`).
 
-    The captured records travel back to the supervisor inside the
-    summary; the worker's ambient tracer is left empty so long-lived
-    pool workers do not accumulate span ledgers across chunks. When a
-    triage state is armed the chunk is digested through the sketches
-    instead — the exact matrix engine is never touched.
+    When a triage state is armed the chunk is digested through the
+    sketches instead — the exact matrix engine is never touched.
     """
+    assert _STREAM_CLASSIFIER is not None
     if _STREAM_TRIAGE is not None:
-        assert _STREAM_CLASSIFIER is not None
         return _STREAM_TRIAGE.digest(chunk, _STREAM_CLASSIFIER._rib)
-    tracer = current_tracer()
-    if not tracer.enabled:
-        result = _STREAM_CLASSIFIER.classify(chunk)
-        return summarize_chunk(result, keep_labels=keep_labels)
-    with tracer.capture() as spans:
-        result = _STREAM_CLASSIFIER.classify(chunk)
-    return summarize_chunk(result, keep_labels=keep_labels, spans=spans)
+    return _summarize(_STREAM_CLASSIFIER, chunk, keep_labels)
 
 
 def _stream_worker(
@@ -363,29 +374,23 @@ class SpoofingClassifier:
         """
         self._state_version += 1
 
-    def classify(
-        self,
-        flows: FlowTable,
-        *,
-        collect_stats: bool = True,
-    ) -> ClassificationResult:
+    def classify(self, flows: FlowTable) -> ClassificationResult:
         """Classify every flow; returns per-approach label vectors."""
-        n = len(flows)
-        stats = PipelineStats(n_flows=n, n_chunks=1) if collect_stats else None
-        with current_tracer().span("classify", rows=n):
-            return self._classify_traced(flows, stats)
+        with current_tracer().span("classify", rows=len(flows)):
+            return self._classify_traced(flows)
 
-    def _classify_traced(
-        self,
-        flows: FlowTable,
-        stats: PipelineStats | None,
-    ) -> ClassificationResult:
-        """The classify body, run inside the ``classify`` span."""
+    def _classify_traced(self, flows: FlowTable) -> ClassificationResult:
+        """The classify body, run inside the ``classify`` span.
+
+        Each stage of Figure 3 is one ``classify.<stage>`` span: bogon,
+        lpm, then ``invalid[<approach>]`` per approach.
+        """
         n = len(flows)
         src = flows.src
-        with StageClock(stats, "bogon", n):
+        tracer = current_tracer()
+        with tracer.span("classify.bogon", rows=n):
             bogon_mask = self._bogons.contains_many(src)
-        with StageClock(stats, "lpm", n):
+        with tracer.span("classify.lpm", rows=n):
             prefix_ids, origin_indices = self._rib.lookup_many(src)
         unrouted_mask = ~bogon_mask & (prefix_ids < 0)
         routed_mask = ~bogon_mask & ~unrouted_mask
@@ -406,7 +411,7 @@ class SpoofingClassifier:
         labels: dict[str, np.ndarray] = {}
         for name, approach in self._approaches.items():
             class_vector = base_vector.copy()
-            with StageClock(stats, f"invalid[{name}]", n):
+            with tracer.span(f"classify.invalid[{name}]", rows=n):
                 invalid_routed = self._invalid_routed_matrix(
                     approach,
                     unique_members,
@@ -417,8 +422,6 @@ class SpoofingClassifier:
                 class_vector[routed_idx[invalid_routed]] = int(
                     TrafficClass.INVALID
                 )
-            if stats is not None:
-                stats.count_invalid(name, int(invalid_routed.sum()))
             labels[name] = class_vector
         return ClassificationResult(
             flows=flows,
@@ -426,7 +429,6 @@ class SpoofingClassifier:
             prefix_ids=prefix_ids,
             origin_indices=origin_indices,
             rib=self._rib,
-            stats=stats,
         )
 
     @staticmethod
@@ -472,7 +474,7 @@ class SpoofingClassifier:
         :data:`DEFAULT_CHUNK_ROWS`, or the larger
         :data:`TRIAGE_CHUNK_ROWS` on the constant-memory triage path).
         With ``n_workers`` a process pool classifies chunks in
-        parallel; per-chunk class counters, member sets, stage stats
+        parallel; per-chunk class counters, member sets, span records
         and (when ``keep_labels``) label vectors are merged in chunk
         order, so the result matches a single-shot :meth:`classify`
         over the concatenated flows. When a whole table is passed on a
@@ -557,13 +559,11 @@ class SpoofingClassifier:
         latency = current_metrics().histogram("stream.chunk_seconds")
 
         def absorb(summary: "ChunkSummary | TriageDigest") -> None:
+            latency.observe(summary.seconds)
             if isinstance(summary, ChunkSummary):
-                if summary.stats is not None:
-                    latency.observe(summary.stats.total_seconds)
                 merged.absorb(summary)
                 return
             assert merged.triage is not None
-            latency.observe(summary.seconds)
             merged.triage.absorb(summary)
             merged.n_flows += summary.n_flows
             merged.n_chunks += 1
@@ -602,7 +602,6 @@ class SpoofingClassifier:
                 triage_state=triage_state,
             ):
                 absorb(summary)
-        merged.stats.rows_dropped = merged.failures.rows_dropped
         self._observe_stream(merged, time.perf_counter() - stream_start)
         return merged
 
@@ -614,7 +613,7 @@ class SpoofingClassifier:
 
         Emits the enclosing ``classify.stream`` span, per-class row
         counters, supervision counters, the per-chunk compute-latency
-        histogram (from each chunk's own stage timings) and the peak
+        histogram (from each chunk's own ``seconds``) and the peak
         RSS gauge. Runs once per streamed call — far off the per-row
         hot path.
         """
@@ -665,12 +664,7 @@ class SpoofingClassifier:
             injector(index, attempt, False)
         if triage_state is not None:
             return triage_state.digest(chunk, self._rib)
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return summarize_chunk(self.classify(chunk), keep_labels=keep_labels)
-        with tracer.capture() as spans:
-            result = self.classify(chunk)
-        return summarize_chunk(result, keep_labels=keep_labels, spans=spans)
+        return _summarize(self, chunk, keep_labels)
 
     def _classify_parallel(
         self,

@@ -12,7 +12,6 @@ if TYPE_CHECKING:
 
 from repro.bgp.rib import GlobalRIB
 from repro.core.classes import TrafficClass
-from repro.core.stats import PipelineStats
 from repro.ixp.flows import FlowTable
 from repro.obs.trace import SpanRecord
 from repro.util.indexing import int_bincount
@@ -45,14 +44,12 @@ class ClassificationResult:
         prefix_ids: np.ndarray,
         origin_indices: np.ndarray,
         rib: GlobalRIB,
-        stats: PipelineStats | None = None,
     ) -> None:
         self.flows = flows
         self.labels = labels
         self.prefix_ids = prefix_ids
         self.origin_indices = origin_indices
         self.rib = rib
-        self.stats = stats
 
     @property
     def approaches(self) -> list[str]:
@@ -62,6 +59,19 @@ class ClassificationResult:
     def label_vector(self, approach: str) -> np.ndarray:
         """Per-flow class labels (uint8) under one approach."""
         return self.labels[approach]
+
+    def counters(self) -> dict[str, object]:
+        """The run counters a manifest records (one chunk, none dropped)."""
+        invalid = int(TrafficClass.INVALID)
+        return {
+            "n_flows": len(self.flows),
+            "n_chunks": 1,
+            "rows_dropped": 0,
+            "invalid_counts": {
+                name: int(np.count_nonzero(labels == invalid))
+                for name, labels in self.labels.items()
+            },
+        }
 
     def class_mask(self, approach: str, traffic_class: TrafficClass) -> np.ndarray:
         """Boolean row mask of flows in one class under one approach."""
@@ -157,7 +167,6 @@ class ClassificationResult:
             prefix_ids=self.prefix_ids,
             origin_indices=self.origin_indices,
             rib=self.rib,
-            stats=self.stats,
         )
 
 
@@ -266,7 +275,9 @@ class FailureLog:
 class ChunkSummary:
     """Merge-ready digest of one classified chunk (picklable, small).
 
-    ``spans`` carries the chunk's completed
+    ``seconds`` is the chunk's classify time, measured where the
+    chunk ran (what ``stream.chunk_seconds`` observes). ``spans``
+    carries the chunk's completed
     :class:`~repro.obs.trace.SpanRecord` s when tracing is enabled —
     the vehicle that moves span ledgers from pool workers back to the
     supervisor (records are plain dataclasses, so they pickle).
@@ -278,7 +289,7 @@ class ChunkSummary:
     byte_counts: dict[str, np.ndarray]
     class_members: dict[str, tuple[frozenset, ...]]  # per-class member ASNs
     labels: dict[str, np.ndarray] | None
-    stats: PipelineStats | None
+    seconds: float = 0.0
     spans: list[SpanRecord] = field(default_factory=list)
 
 
@@ -286,6 +297,7 @@ def summarize_chunk(
     result: ClassificationResult,
     keep_labels: bool = False,
     spans: list[SpanRecord] | None = None,
+    seconds: float = 0.0,
 ) -> ChunkSummary:
     """Collapse a :class:`ClassificationResult` into mergeable counters."""
     flows = result.flows
@@ -316,7 +328,7 @@ def summarize_chunk(
         byte_counts=byte_counts,
         class_members=class_members,
         labels=dict(result.labels) if keep_labels else None,
-        stats=result.stats,
+        seconds=seconds,
         spans=list(spans) if spans else [],
     )
 
@@ -325,10 +337,10 @@ class StreamClassificationResult:
     """Merged output of a chunked / parallel classification run.
 
     Holds per-approach class counters (flows, sampled packets, bytes),
-    per-class member sets, merged stage-timing stats, and — when
-    requested — the concatenated per-approach label vectors. Counters
-    are identical to what a single-shot :meth:`classify` over the
-    concatenated flows would aggregate to.
+    per-class member sets, and — when requested — the concatenated
+    per-approach label vectors. Counters are identical to what a
+    single-shot :meth:`classify` over the concatenated flows would
+    aggregate to.
 
     ``failures`` records what the supervised streaming path had to do
     to finish (retries, in-process fallbacks, dropped chunks); check
@@ -353,7 +365,6 @@ class StreamClassificationResult:
         self._class_members: dict[str, list[set[int]]] = {
             a: [set() for _ in range(N_CLASSES)] for a in self.approaches
         }
-        self.stats = PipelineStats()
         self.failures = FailureLog()
         #: Span records merged from every chunk (worker or in-process)
         #: when tracing was enabled — empty otherwise.
@@ -384,8 +395,6 @@ class StreamClassificationResult:
                 if summary.labels is None:
                     raise ValueError("chunk summary carries no labels")
                 self._label_chunks[approach].append(summary.labels[approach])
-        if summary.stats is not None:
-            self.stats.merge(summary.stats)
         if summary.spans:
             self.spans.extend(summary.spans)
 
@@ -435,6 +444,25 @@ class StreamClassificationResult:
     def complete(self) -> bool:
         """True when no rows were dropped by the failure policy."""
         return self.failures.complete
+
+    def counters(self) -> dict[str, object]:
+        """The run counters a manifest records.
+
+        ``invalid_counts`` is empty on a sketch-triage run, whose exact
+        per-approach counters never ran.
+        """
+        invalid = int(TrafficClass.INVALID)
+        return {
+            "n_flows": self.n_flows,
+            "n_chunks": self.n_chunks,
+            "rows_dropped": self.failures.rows_dropped,
+            "invalid_counts": {}
+            if self.triage is not None
+            else {
+                name: int(counts[invalid])
+                for name, counts in self.flow_counts.items()
+            },
+        }
 
     def __repr__(self) -> str:
         suffix = "" if self.failures.complete else ", PARTIAL"

@@ -144,8 +144,6 @@ def build_world(
         if classify:
             logger.info("classifying %d flows", len(world.scenario.flows))
             world.result = classifier.classify(world.scenario.flows)
-            if world.result.stats is not None:
-                logger.info("%s", world.result.stats.render())
     return world
 
 

@@ -6,15 +6,14 @@ memory and retries — and which exact inputs produced this artefact?":
 * :mod:`repro.obs.trace` — a :class:`Tracer` of nestable spans
   (``with trace("classify.invalid", rows=n):``) whose picklable
   :class:`SpanRecord` s accumulate per chunk in pool workers and merge
-  on the supervisor. The legacy
-  :class:`~repro.core.stats.PipelineStats` stage table is re-exported
-  on top of it: both ledgers are fed the same measured values.
+  on the supervisor. Spans are the only timing ledger: a stage table
+  is :func:`span_totals` over a run's records.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and histograms (rows per class, retries, quarantined lines,
   peak RSS, chunk-latency percentiles) with JSON-lines export.
 * :mod:`repro.obs.manifest` — a :class:`RunManifest` capturing
-  command, config, input digests, git SHA, versions, per-stage
-  wall-clock, spans, metrics and outcome, written next to every
+  command, config, input digests, git SHA, versions, run counters,
+  spans, metrics and outcome, written next to every
   CLI/experiment/benchmark output and rendered back by
   ``repro trace show``.
 

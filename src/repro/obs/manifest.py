@@ -3,10 +3,11 @@
 A :class:`RunManifest` records everything needed to reproduce — or
 audit — the run that produced an artefact: the command and arguments,
 world seed/preset/config, SHA-256 digests of every input file, the
-repository git SHA, interpreter and numpy versions, wall-clock per
-pipeline stage, the span ledger, a metrics snapshot, and the outcome
-(exit code, completeness). The CLI, the experiment runner and the
-benchmark harness write one next to every output they produce, so a
+repository git SHA, interpreter and numpy versions, the run's
+counters, the span ledger (the one source of stage timings), a
+metrics snapshot, and the outcome (exit code, completeness). The
+CLI, the experiment runner and the benchmark harness write one next
+to every output they produce, so a
 number in ``benchmarks/output/`` is never orphaned from the run that
 generated it (the HAW reproducibility study of this paper found
 exactly that gap to be the main obstacle to reproduction).
@@ -14,7 +15,7 @@ exactly that gap to be the main obstacle to reproduction).
 The manifest is a thin wrapper over a plain dict: ``write`` →
 ``load`` → :meth:`to_dict` round-trips bit-identically (asserted in
 ``tests/test_obs.py``, including under spawn workers). ``repro trace
-show <manifest>`` renders it back as a stage/span report.
+show <manifest>`` renders it back as a span/metrics report.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ class RunManifest:
                 "pid": None,  # filled by finish() so forked children
                 # that inherit an open manifest stamp their own pid
                 "inputs": {},
-                "stages": {},
                 "spans": [],
                 "metrics": {},
                 "outcome": None,
@@ -131,7 +131,6 @@ class RunManifest:
     def finish(
         self,
         *,
-        stats: Any = None,
         spans: Iterable[Any] | None = None,
         metrics: Any = None,
         exit_code: int = 0,
@@ -140,10 +139,11 @@ class RunManifest:
     ) -> "RunManifest":
         """Seal the manifest with the run's results; returns self.
 
-        ``stats`` is a :class:`repro.core.stats.PipelineStats` (its
-        stage table becomes ``stages``), ``spans`` an iterable of
-        :class:`repro.obs.trace.SpanRecord`, ``metrics`` a
-        :class:`repro.obs.metrics.MetricsRegistry`.
+        ``spans`` is an iterable of :class:`repro.obs.trace.SpanRecord`
+        (or their dicts), ``metrics`` a
+        :class:`repro.obs.metrics.MetricsRegistry`; ``extra`` adds
+        top-level fields, such as a classification result's
+        ``counters()``.
         """
         import os
 
@@ -153,15 +153,6 @@ class RunManifest:
         )
         self.data["duration_seconds"] = now - self.data["started_unix"]
         self.data["pid"] = os.getpid()
-        if stats is not None:
-            self.data["stages"] = {
-                stage.name: {"seconds": stage.seconds, "rows": stage.rows}
-                for stage in stats.stages.values()
-            }
-            self.data["n_flows"] = stats.n_flows
-            self.data["n_chunks"] = stats.n_chunks
-            self.data["rows_dropped"] = stats.rows_dropped
-            self.data["invalid_counts"] = dict(stats.invalid_counts)
         if spans is not None:
             self.data["spans"] = [
                 span if isinstance(span, dict) else span.to_dict()
@@ -198,13 +189,34 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "RunManifest":
-        """Read a manifest written by :meth:`write`."""
+        """Read a manifest written by :meth:`write`.
+
+        Raises :class:`ValueError` when the file is not a JSON object
+        of this schema or a span record does not parse.
+        """
+        from repro.obs.trace import SpanRecord
+
         data = json.loads(pathlib.Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"{path}: not a {SCHEMA} manifest "
+                f"(top level is a {type(data).__name__}, not an object)"
+            )
         if data.get("schema") != SCHEMA:
             raise ValueError(
                 f"{path}: not a {SCHEMA} manifest "
                 f"(schema={data.get('schema')!r})"
             )
+        spans = data.get("spans", [])
+        if not isinstance(spans, list):
+            raise ValueError(f"{path}: spans is not a list")
+        for index, span in enumerate(spans):
+            try:
+                SpanRecord.from_dict(span)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: span record {index} is malformed ({exc!r})"
+                ) from exc
         return cls(data)
 
     # -- reporting ---------------------------------------------------------
@@ -233,16 +245,6 @@ class RunManifest:
                     f"    {name}: {record['path']} "
                     f"({record['bytes']} bytes, "
                     f"sha256 {record['sha256'][:12]}…)"
-                )
-        if data.get("stages"):
-            lines.append("  stages:")
-            for name, stage in data["stages"].items():
-                seconds = stage["seconds"]
-                rows = stage["rows"]
-                rate = rows / seconds if seconds > 0 else float("inf")
-                lines.append(
-                    f"    {name:<20} {rows:>12} rows "
-                    f"{seconds:>10.4f}s {rate:>14.0f} rows/s"
                 )
         if data.get("spans"):
             lines.append("  spans:")

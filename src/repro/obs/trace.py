@@ -1,6 +1,6 @@
 """Nestable tracing spans that survive process boundaries.
 
-The tracer is the timing backbone of the observability layer: every
+The tracer is the one timing ledger of the observability layer: every
 instrumented region (``with trace("classify.invalid[full]", rows=n):``)
 produces one :class:`SpanRecord` — a small, picklable dataclass — in
 the ambient :class:`Tracer`. Records, not live objects, are the unit
@@ -12,14 +12,9 @@ single-shot run would.
 Tracing is **disabled by default** and the disabled path is a single
 attribute check — cheap enough to leave the instrumentation compiled
 into every hot loop (the ``perf_trace_overhead`` benchmark holds it
-under 2% on a 4M-row classification).
-
-The legacy :class:`repro.core.stats.PipelineStats` stage timings are
-re-exported on top of this layer: :class:`repro.core.stats.StageClock`
-measures each stage once and feeds the *same* elapsed value to both
-the stats record and the ambient tracer, so ``span_totals()`` over a
-run's spans agrees with the stage table exactly (asserted in
-``tests/test_obs.py``).
+under 2% on a 4M-row classification). A stage table is
+:func:`span_totals` over a run's records; :func:`render_spans` prints
+it (the CLI's ``--stats`` and ``repro trace show``).
 """
 
 from __future__ import annotations
@@ -142,10 +137,8 @@ class Tracer:
     ) -> None:
         """Append an already-measured span (no nesting side effects).
 
-        This is the seam :class:`repro.core.stats.StageClock` uses to
-        feed the tracer the *same* elapsed value it put into
-        :class:`~repro.core.stats.PipelineStats`, keeping the two
-        ledgers numerically identical.
+        For regions that do not fit one ``with`` block: a generator's
+        lifetime, a streamed run, a watch window.
         """
         if not self.enabled:
             return

@@ -94,7 +94,9 @@ class OnlineClassifier:
         emitted_through: int | None = None,
     ) -> None:
         """``manifest_dir`` — when set, one
-        :class:`~repro.obs.manifest.RunManifest` is written per window.
+        :class:`~repro.obs.manifest.RunManifest` is written per window,
+        with the window's counters and (when tracing is enabled) its
+        ``classify.*`` spans.
 
         ``policy`` defaults to ``"retry"`` when ``n_workers`` > 1: a
         long-running watch should ride out a transient worker failure,
@@ -250,9 +252,10 @@ class OnlineClassifier:
             },
         )
         manifest.finish(
-            stats=result.result.stats,
+            spans=result.result.spans,
             complete=result.result.complete,
             extra={
+                **result.result.counters(),
                 "window_summary": {
                     "route_events": result.n_route_events,
                     "deltas_applied": result.n_deltas_applied,

@@ -166,7 +166,7 @@ def _ledger_row(window: WindowResult) -> dict:
         "route_events": window.n_route_events,
         "chunks": window.n_chunks,
         "flows": window.n_flows,
-        "invalid": dict(window.result.stats.invalid_counts),
+        "invalid": window.result.counters()["invalid_counts"],
         "labels_sha256": digest.hexdigest(),
     }
 

@@ -1,4 +1,4 @@
-"""Matrix-kernel equivalence, streaming, and stats tests.
+"""Matrix-kernel equivalence, streaming, and stage-span tests.
 
 The vectorised validity-matrix engine must be label-identical to the
 seed per-member loop kept in :mod:`tests.reference_classifier`, and
@@ -24,6 +24,7 @@ from repro.core import (
 from repro.ixp.flows import PROTO_TCP, FlowTable, TruthLabel
 from repro.net.addr import addr_to_int
 from repro.net.prefix import Prefix
+from repro.obs import Tracer, render_spans, set_tracer, span_totals
 from tests import reference_classifier as reference
 
 
@@ -40,6 +41,15 @@ def toy():
         rib, {"naive": NaiveValidSpace(rib), "full": FullConeValidSpace(rib)}
     )
     return rib, classifier
+
+
+@pytest.fixture()
+def tracing():
+    """A private, enabled ambient tracer for one test."""
+    tracer = Tracer(enabled=True)
+    previous = set_tracer(tracer)
+    yield tracer
+    set_tracer(previous)
 
 
 def flow_table(rows):
@@ -77,7 +87,7 @@ class TestEngineEquivalence:
         for name in classifier.approach_names:
             assert result.label_vector(name).size == 0
             assert loop[name].size == 0
-        assert result.stats.n_flows == 0
+        assert result.counters()["n_flows"] == 0
 
     def test_member_absent_from_bgp_all_routed_invalid(self, toy):
         # AS 9999 was never observed in BGP: every routed flow it
@@ -223,40 +233,37 @@ class TestStream:
 
 
 class TestStats:
-    def test_classify_records_stage_stats(self, toy):
+    def test_classify_records_stage_stats(self, toy, tracing):
         _rib, classifier = toy
         table = flow_table([("60.0.5.5", 100), ("60.0.5.5", 200)])
         result = classifier.classify(table)
-        stats = result.stats
-        assert stats is not None
-        assert stats.n_flows == 2
-        assert set(stats.stages) == {
-            "bogon",
-            "lpm",
-            "invalid[naive]",
-            "invalid[full]",
-        }
-        assert stats.invalid_counts["full"] == 1
-        assert all(s.rows == 2 for s in stats.stages.values())
-        assert "rows/sec" in stats.render()
+        spans = tracing.drain()
+        totals = span_totals(spans)
+        assert list(totals) == [
+            "classify.bogon",
+            "classify.lpm",
+            "classify.invalid[naive]",
+            "classify.invalid[full]",
+            "classify",
+        ]
+        assert all(t.calls == 1 and t.rows == 2 for t in totals.values())
+        counters = result.counters()
+        assert counters["n_flows"] == 2
+        assert counters["invalid_counts"]["full"] == 1
+        assert "rows/sec" in render_spans(spans)
 
-    def test_stats_opt_out(self, toy):
-        _rib, classifier = toy
-        result = classifier.classify(
-            flow_table([("60.0.5.5", 100)]), collect_stats=False
-        )
-        assert result.stats is None
-
-    def test_stream_merges_stats(self, toy):
+    def test_stream_merges_stats(self, toy, tracing):
         _rib, classifier = toy
         table = flow_table(
             [("60.0.5.5", 100), ("60.0.5.5", 200), ("9.9.9.9", 100)]
         )
         stream = classifier.classify_stream(table, chunk_rows=1)
-        assert stream.stats.n_flows == 3
-        assert stream.stats.n_chunks == 3
-        assert stream.stats.stages["lpm"].rows == 3
-        assert stream.stats.invalid_counts["full"] == 1
+        assert stream.n_flows == 3
+        assert stream.n_chunks == 3
+        lpm = span_totals(stream.spans)["classify.lpm"]
+        assert lpm.calls == 3 and lpm.rows == 3
+        assert stream.flow_counts["full"][int(TrafficClass.INVALID)] == 1
+        assert stream.counters()["invalid_counts"]["full"] == 1
 
     def test_summary_merge_order_independent_counts(self, toy):
         _rib, classifier = toy

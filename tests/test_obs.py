@@ -2,10 +2,11 @@
 
 Covers the tracer (nesting, capture, disabled fast path), the metrics
 registry (counters/gauges/histograms, JSONL export), the run manifest
-(round trip, digests, rendering), the span⇄PipelineStats agreement the
-acceptance criterion demands — single-shot, streamed serial, streamed
-parallel under fork *and* spawn — the ``PipelineStats.merge``
-accumulation semantics, and the CLI flags (``--trace``,
+(round trip, digests, rendering, malformed input), the classify stage
+spans — one per stage, and a streamed run's merged spans matching a
+single-shot run's names and rows (serial, parallel under fork *and*
+spawn) — the span-total accumulation semantics, the per-chunk latency
+histogram, and the CLI flags (``--stats``, ``--trace``,
 ``--metrics-out``, ``--manifest-out``, ``repro trace show``).
 """
 
@@ -18,19 +19,20 @@ import pytest
 
 from repro.cli import main
 from repro.core.classifier import MP_START_METHOD_ENV
-from repro.core.stats import PipelineStats, StageTiming
 from repro.experiments import WorldConfig, build_world
 from repro.io import save_flows_csv, save_flows_npz
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
     SpanRecord,
+    SpanTotal,
     Tracer,
     current_metrics,
     current_tracer,
     enable_tracing,
     file_digest,
     manifest_path_for,
+    set_tracer,
     span_totals,
     trace,
     tracing_enabled,
@@ -198,16 +200,14 @@ class TestManifest:
         data_file = tmp_path / "input.bin"
         data_file.write_bytes(b"hello spoofing")
         manifest.add_input("flows", data_file)
-        stats = PipelineStats(n_flows=10, n_chunks=2)
-        stats.record("bogon", 0.5, 10)
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
         manifest.finish(
-            stats=stats,
             spans=[SpanRecord("classify.bogon", 0.5, rows=10)],
             metrics=registry,
             exit_code=0,
             complete=True,
+            extra={"n_flows": 10, "invalid_counts": {"full": 3}},
         )
         path = manifest.write(tmp_path / "run.manifest.json")
         loaded = RunManifest.load(path)
@@ -241,55 +241,73 @@ class TestManifest:
         assert "exit=0" in text
 
 
-# -- span / stats agreement (the acceptance criterion) ---------------------
+# -- classify stage spans (the one timing ledger) --------------------------
 
 
-def _assert_spans_match_stats(spans, stats) -> None:
-    """Merged span totals must equal the PipelineStats stage table."""
-    totals = span_totals(spans)
-    assert stats.stages, "no stages recorded"
-    for name, stage in stats.stages.items():
-        total = totals[f"classify.{name}"]
-        assert total.rows == stage.rows, name
-        assert math.isclose(
-            total.seconds, stage.seconds, rel_tol=1e-9, abs_tol=1e-9
-        ), name
+def _stage_rows(spans) -> dict[str, int]:
+    """Span name → total rows, in first-seen order."""
+    return {name: total.rows for name, total in span_totals(spans).items()}
+
+
+@pytest.fixture(scope="module")
+def single_shot_rows(world):
+    """Span names and rows of a traced single-shot classify."""
+    previous = set_tracer(Tracer(enabled=True))
+    try:
+        world.classifier.classify(world.scenario.flows)
+        return _stage_rows(current_tracer().drain())
+    finally:
+        set_tracer(previous)
 
 
 class TestSpanStatsAgreement:
+    """Streamed runs' merged spans match a single-shot run's."""
+
     def test_single_shot(self, world, clean_obs):
         enable_tracing()
-        result = world.classifier.classify(world.scenario.flows)
+        world.classifier.classify(world.scenario.flows)
         spans = current_tracer().drain()
-        _assert_spans_match_stats(spans, result.stats)
-        # The enclosing classify span is present and parents the stages.
+        n = len(world.scenario.flows)
+        assert [r.name for r in spans] == (
+            ["classify.bogon", "classify.lpm"]
+            + [
+                f"classify.invalid[{name}]"
+                for name in world.classifier.approach_names
+            ]
+            + ["classify"]
+        )
+        assert all(r.rows == n for r in spans)
+        # The enclosing classify span parents the stages.
         by_name = {r.name: r for r in spans}
         assert by_name["classify.bogon"].parent == "classify"
 
-    def test_streamed_serial(self, world, clean_obs):
+    def test_streamed_serial(self, world, clean_obs, single_shot_rows):
         enable_tracing()
         stream = world.classifier.classify_stream(
             world.scenario.flows, chunk_rows=3000
         )
         assert stream.n_chunks > 1
-        _assert_spans_match_stats(stream.spans, stream.stats)
+        assert _stage_rows(stream.spans) == single_shot_rows
 
-    def test_streamed_parallel(self, world, clean_obs):
+    def test_streamed_parallel(self, world, clean_obs, single_shot_rows,
+                               monkeypatch):
+        monkeypatch.setenv(MP_START_METHOD_ENV, "fork")
         enable_tracing()
         stream = world.classifier.classify_stream(
             world.scenario.flows, n_workers=2, chunk_rows=3000
         )
         assert stream.n_chunks > 1
-        _assert_spans_match_stats(stream.spans, stream.stats)
+        assert _stage_rows(stream.spans) == single_shot_rows
 
-    def test_streamed_parallel_spawn(self, world, clean_obs, monkeypatch):
+    def test_streamed_parallel_spawn(self, world, clean_obs,
+                                     single_shot_rows, monkeypatch):
         monkeypatch.setenv(MP_START_METHOD_ENV, "spawn")
         enable_tracing()
         stream = world.classifier.classify_stream(
             world.scenario.flows, n_workers=2, chunk_rows=6000
         )
         assert stream.n_chunks > 1
-        _assert_spans_match_stats(stream.spans, stream.stats)
+        assert _stage_rows(stream.spans) == single_shot_rows
 
     def test_disabled_by_default_no_spans(self, world, clean_obs):
         assert not tracing_enabled()
@@ -300,48 +318,64 @@ class TestSpanStatsAgreement:
         assert current_tracer().records == []
 
 
-# -- PipelineStats merge semantics (satellite) -----------------------------
+# -- merging chunk spans into stage totals ---------------------------------
 
 
 class TestStatsMerge:
     def test_rows_per_sec_accumulates_not_averages(self):
-        a = PipelineStats(n_flows=100, n_chunks=1)
-        a.record("lpm", 1.0, 100)
-        b = PipelineStats(n_flows=300, n_chunks=1)
-        b.record("lpm", 1.0, 300)
-        a.merge(b)
-        stage = a.stages["lpm"]
+        totals = span_totals(
+            [
+                SpanRecord("classify.lpm", 1.0, rows=100),
+                SpanRecord("classify.lpm", 1.0, rows=300),
+            ]
+        )
+        stage = totals["classify.lpm"]
         # 400 rows over 2 seconds — the accumulated ratio, not the
         # mean of the per-chunk ratios (which would be 200).
         assert stage.rows == 400 and stage.seconds == 2.0
         assert stage.rows_per_sec == 200.0
-        assert a.n_flows == 400 and a.n_chunks == 2
-
-    def test_merge_preserves_invalid_counts_and_drops(self):
-        a = PipelineStats()
-        a.count_invalid("full", 5)
-        b = PipelineStats(rows_dropped=7)
-        b.count_invalid("full", 3)
-        b.count_invalid("cc", 1)
-        a.merge(b)
-        assert a.invalid_counts == {"full": 8, "cc": 1}
-        assert a.rows_dropped == 7
+        assert stage.calls == 2
 
     def test_zero_second_stage(self):
-        timing = StageTiming("x")
-        assert timing.rows_per_sec == 0.0
-        timing.add(0.0, 10)
-        assert timing.rows_per_sec == float("inf")
+        total = SpanTotal("x")
+        assert total.rows_per_sec == 0.0
+        total.rows = 10
+        assert total.rows_per_sec == float("inf")
 
-    def test_streamed_equals_single_shot_accumulation(self, world, clean_obs):
-        """Chunked stats totals must equal a single-shot run's shape."""
+    def test_streamed_equals_single_shot_accumulation(
+        self, world, clean_obs, single_shot_rows
+    ):
+        """One span per stage per chunk, summing to the single shot."""
+        enable_tracing()
         flows = world.scenario.flows
-        single = world.classifier.classify(flows).stats
         stream = world.classifier.classify_stream(flows, chunk_rows=4000)
-        assert stream.stats.n_flows == single.n_flows
-        assert set(stream.stats.stages) == set(single.stages)
-        for name, stage in stream.stats.stages.items():
-            assert stage.rows == single.stages[name].rows, name
+        totals = span_totals(stream.spans)
+        assert stream.n_flows == len(flows)
+        assert list(totals) == list(single_shot_rows)
+        for name, total in totals.items():
+            assert total.calls == stream.n_chunks, name
+            assert total.rows == single_shot_rows[name], name
+
+
+# -- per-chunk latency -----------------------------------------------------
+
+
+@pytest.mark.parametrize("triage", [None, "sketch"])
+@pytest.mark.parametrize("n_workers", [None, 2])
+def test_chunk_seconds_one_positive_observation_per_chunk(
+    world, clean_obs, n_workers, triage
+):
+    stream = world.classifier.classify_stream(
+        world.scenario.flows,
+        n_workers=n_workers,
+        chunk_rows=5000,
+        triage=triage,
+    )
+    assert stream.n_chunks > 1
+    latency = current_metrics().histogram("stream.chunk_seconds")
+    assert latency.count == stream.n_chunks
+    assert len(latency.samples) == stream.n_chunks
+    assert all(seconds > 0 for seconds in latency.samples)
 
 
 # -- CLI wiring ------------------------------------------------------------
@@ -355,7 +389,7 @@ class TestCliObservability:
         return path
 
     def test_classify_trace_writes_manifest_and_metrics(
-        self, flows_csv, tmp_path, capsys, clean_obs
+        self, world, flows_csv, tmp_path, capsys, clean_obs
     ):
         metrics_out = tmp_path / "metrics.jsonl"
         code = main(
@@ -378,16 +412,18 @@ class TestCliObservability:
         assert data["command"] == "classify"
         assert data["outcome"] == {"exit_code": 0, "complete": True}
         assert data["inputs"]["flows"]["sha256"]
-        # Acceptance: merged span totals agree with the stage table.
+        # The run counters come from the result, stage timings from
+        # the merged chunk spans.
+        assert data["n_flows"] == len(world.scenario.flows)
+        assert data["rows_dropped"] == 0
         totals = span_totals(data["spans"])
-        for name, stage in data["stages"].items():
-            assert totals[f"classify.{name}"].rows == stage["rows"], name
-            assert math.isclose(
-                totals[f"classify.{name}"].seconds,
-                stage["seconds"],
-                rel_tol=1e-9,
-                abs_tol=1e-9,
-            ), name
+        assert set(data["invalid_counts"]) == {
+            name[len("classify.invalid["):-1]
+            for name in totals
+            if name.startswith("classify.invalid[")
+        }
+        for name in ("classify.bogon", "classify.lpm"):
+            assert totals[name].rows == data["n_flows"], name
         # Metrics JSONL carries per-class row counters and peak RSS.
         names = {
             json.loads(line)["name"]
@@ -414,9 +450,10 @@ class TestCliObservability:
         assert code == 0
         data = RunManifest.load(out).to_dict()
         assert data["seed"] == 42 and data["preset"] == "tiny"
-        # Without --trace there are no spans, but stages still land.
-        assert data["spans"] == []
-        assert data["stages"]
+        # Without --trace the manifest still carries the stage spans.
+        names = {span["name"] for span in data["spans"]}
+        assert {"classify.bogon", "classify.lpm"} <= names
+        assert "stages" not in data
 
     def test_trace_show_renders(self, flows_csv, tmp_path, capsys, clean_obs):
         assert (
@@ -441,6 +478,38 @@ class TestCliObservability:
 
     def test_trace_show_missing_file(self, tmp_path, capsys, clean_obs):
         assert main(["trace", "show", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"schema": "repro.run_manifest/1"}],
+            {"schema": "repro.run_manifest/1", "spans": [{"seconds": 1.0}]},
+            {"schema": "repro.run_manifest/1", "spans": 3},
+        ],
+        ids=["json-list", "span-without-name", "spans-not-a-list"],
+    )
+    def test_trace_show_malformed_exits_2(self, tmp_path, capsys, clean_obs,
+                                          payload):
+        path = tmp_path / "bad.manifest.json"
+        path.write_text(json.dumps(payload))
+        assert main(["trace", "show", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot read manifest: ")
+        assert "Traceback" not in captured.err
+
+    def test_cones_stats_prints_spans(self, capsys, clean_obs):
+        assert main(["cones", "--preset", "tiny", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "world.cones" in out
+        assert "rows/sec" in out
+        assert not tracing_enabled()
+
+    def test_table1_stats_prints_stage_spans(self, capsys, clean_obs):
+        assert main(["table1", "--preset", "tiny", "--stats"]) == 0
+        out = capsys.readouterr().out
+        for name in ("classify.bogon", "classify.lpm",
+                     "classify.invalid[full]"):
+            assert name in out
 
     def test_npz_input_digested(self, world, tmp_path, capsys, clean_obs):
         path = tmp_path / "flows.npz"
@@ -514,15 +583,16 @@ def test_manifest_roundtrip_under_spawn(world, tmp_path, clean_obs,
     )
     manifest = RunManifest.create("spawn-roundtrip", seed=world.config.seed)
     manifest.finish(
-        stats=stream.stats,
         spans=stream.spans,
         metrics=current_metrics(),
         complete=stream.complete,
+        extra=stream.counters(),
     )
     path = manifest.write(tmp_path / "spawn.manifest.json")
     loaded = RunManifest.load(path)
     assert loaded.to_dict() == manifest.to_dict()
-    _assert_spans_match_stats(loaded.to_dict()["spans"], stream.stats)
+    assert _stage_rows(loaded.to_dict()["spans"]) == _stage_rows(stream.spans)
+    assert loaded.to_dict()["n_flows"] == len(world.scenario.flows)
 
 
 def test_worker_tracer_stays_clean(world, clean_obs):

@@ -196,8 +196,8 @@ class TestSerialPolicies:
         assert stream.failures.rows_dropped == 2
         assert stream.failures.chunks_dropped == 1
         assert not stream.complete
-        assert stream.stats.rows_dropped == 2
-        assert "partial" in stream.stats.render()
+        assert stream.counters()["rows_dropped"] == 2
+        assert "PARTIAL" in repr(stream)
 
     def test_fail_fast_raises_structured(self, toy, eight_rows):
         _rib, classifier = toy

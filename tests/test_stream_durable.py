@@ -233,7 +233,7 @@ class TestWal:
 def window_digests(windows):
     return [
         (w.index, w.n_route_events, w.n_chunks, w.n_flows,
-         dict(w.result.stats.invalid_counts))
+         w.result.counters()["invalid_counts"])
         for w in windows
     ]
 

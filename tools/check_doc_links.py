@@ -152,8 +152,8 @@ def check_file(
             # bare filenames like `config.py` are prose, not paths.
             if "/" not in ref:
                 continue
-            # Prose refers to modules package-relative (`core/stats.py`
-            # means src/repro/core/stats.py), so try the package root too.
+            # Prose refers to modules package-relative (`core/results.py`
+            # means src/repro/core/results.py), so try the package root too.
             candidates = (root / ref, path.parent / ref,
                           root / "src" / "repro" / ref)
             if not any(c.exists() for c in candidates):

@@ -1,12 +1,11 @@
-"""RL006 — no ad-hoc wall-clock reads where StageClock is the contract.
+"""RL006 — no ad-hoc wall-clock reads where spans are the timing ledger.
 
-Stage timings must flow through :class:`repro.core.stats.StageClock`
-(which feeds the *same* measured elapsed to ``PipelineStats`` and the
-tracer) — a stray ``time.time()`` in ``core/`` or inside a pool worker
-creates a second, subtly different ledger and breaks the span⇄stats
-equality the observability layer asserts. ``time.perf_counter`` /
-``time.monotonic`` / ``time.sleep`` remain fine: the rule bans reading
-*wall-clock* time, not measuring durations.
+Stage timings are tracer spans (:mod:`repro.obs.trace`), the one
+timing ledger — a stray ``time.time()`` in ``core/`` or inside a pool
+worker starts a second, subtly different ledger beside it.
+``time.perf_counter`` / ``time.monotonic`` / ``time.sleep`` remain
+fine: the rule bans reading *wall-clock* time, not measuring
+durations.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class NoWallclockInWorkers(Checker):
     rule = "RL006"
     title = (
         "no time.time()/datetime.now() in core/ or pool workers — "
-        "StageClock owns the timing contract"
+        "tracer spans are the timing ledger"
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
@@ -72,7 +71,7 @@ class NoWallclockInWorkers(Checker):
                         node.col_offset + 1,
                         self.rule,
                         f"{name}() {where} — wall-clock reads belong "
-                        "to StageClock/the tracer; use "
+                        "to the tracer; use "
                         "time.perf_counter() for durations",
                     )
 

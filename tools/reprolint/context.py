@@ -76,7 +76,7 @@ class LintConfig:
         {"current_tracer", "trace", "tracing_enabled"}
     )
     #: Wall-clock timers banned on the classification hot path (RL006);
-    #: ``StageClock`` / the tracer own the measurement contract.
+    #: tracer spans are the one timing ledger.
     wallclock_dirs: tuple[str, ...] = ("src/repro/core",)
     #: Package directories the docstring gate (RL101) covers, and the
     #: coverage threshold it enforces.
