@@ -1,8 +1,8 @@
-"""Golden digests of a built world: the guard for the BGP layers.
+"""Golden digests of a built world: the guard for the BGP and traffic layers.
 
 :func:`world_digest` builds one world from a :class:`WorldConfig` and
 fingerprints everything the cold build produces that a faster
-propagation or RIB ingest must leave bit-identical:
+propagation, RIB ingest or traffic generator must leave bit-identical:
 
 * the observation stream of :func:`~repro.bgp.simulate.simulate_bgp`
   (its length and a sha256 over every field of every observation, in
@@ -11,6 +11,8 @@ propagation or RIB ingest must leave bit-identical:
   ingest counters);
 * every approach's :meth:`~repro.cones.base.ValidSpaceMap.state_digest`
   for the IXP's members;
+* the generated flows (a sha256 over every :class:`~repro.ixp.flows.FlowTable`
+  column, in order);
 * the Table 1 counts.
 
 The helper assembles the world from the same public steps, in the same
@@ -41,6 +43,7 @@ from repro.core.classifier import SpoofingClassifier
 from repro.datasets.as2org import build_as2org
 from repro.experiments.config import WorldConfig
 from repro.experiments.runner import build_valid_space_maps
+from repro.ixp.flows import FlowTable
 from repro.ixp.model import select_members
 from repro.topology.generator import generate_topology
 from repro.topology.policies import build_policies
@@ -66,6 +69,16 @@ def observation_digest(observations: Iterable[RouteObservation]) -> tuple[int, s
         )
         count += 1
     return count, digest.hexdigest()
+
+
+def flows_digest(flows: FlowTable) -> str:
+    """sha256 over every column of ``flows`` (name, dtype and bytes), in order."""
+    digest = hashlib.sha256()
+    for name in FlowTable.__slots__:
+        column = np.ascontiguousarray(getattr(flows, name))
+        digest.update(f"{name}|{column.dtype.str}|{column.size}\n".encode())
+        digest.update(column.tobytes())
+    return digest.hexdigest()
 
 
 def _rng_digest(rng: np.random.Generator) -> str:
@@ -115,6 +128,7 @@ def world_digest(config: WorldConfig) -> dict[str, Any]:
             name: approach.state_digest(members)
             for name, approach in approaches.items()
         },
+        "flows_sha256": flows_digest(scenario.flows),
         "table1": {
             name: [cell.members, cell.packets, cell.bytes]
             for name, cell in table.columns.items()

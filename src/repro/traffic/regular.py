@@ -22,7 +22,7 @@ from repro.ixp.model import IXP
 from repro.traffic.apps import PORT_DNS, PORT_HTTP, PORT_HTTPS, PORT_NTP
 from repro.traffic.diurnal import DiurnalModel
 from repro.traffic.forwarding import SourcePool
-from repro.traffic.poolsampler import PoolAddressSampler
+from repro.traffic.poolsampler import PoolAddressSampler, PoolTable
 
 #: Regular application mixture: (share, proto, src_kind, dst_kind,
 #: mean_size, size_sd, mean_sampled_pkts). Port kinds: "eph" (random
@@ -103,10 +103,17 @@ def generate_regular(
     pool_sampler: PoolAddressSampler | None = None,
 ) -> FlowTable:
     """Generate ``total_rows`` sampled regular flows across all members."""
+    member_list = list(ixp.member_asns)
+    if len(member_list) < 2:
+        raise ValueError(
+            "regular traffic needs at least two members: every flow leaves "
+            f"through a member other than its ingress (the IXP has "
+            f"{len(member_list)})"
+        )
     pool_sampler = pool_sampler or PoolAddressSampler()
     counts = member_flow_counts(rng, ixp, total_rows)
-    member_list = list(ixp.member_asns)
     weight_vector = ixp.traffic_weights()
+    targets = pool_sampler.span([pools.get(asn) for asn in member_list])
     tables: list[FlowTable] = []
     for member, n in counts.items():
         pool = pools.get(member)
@@ -114,7 +121,7 @@ def generate_regular(
             continue
         src, origins, hidden = pool_sampler.sample(rng, pool, n)
         dst, dst_member = _draw_destinations(
-            rng, member, member_list, weight_vector, pools, pool_sampler, n
+            rng, member, member_list, weight_vector, targets, n
         )
         proto, src_port, dst_port, packets, nbytes = draw_app_columns(rng, n)
         truth = np.where(
@@ -145,30 +152,16 @@ def _draw_destinations(
     member: int,
     member_list: list[int],
     weights: np.ndarray,
-    pools: dict[int, SourcePool],
-    pool_sampler: PoolAddressSampler,
+    targets: PoolTable,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Destination member (weighted, != ingress) and an address inside
-    that member's visible pool."""
+    that member's visible pool; ``targets`` spans the pools of
+    ``member_list`` in order."""
     probs = weights.copy()
     self_index = member_list.index(member)
     probs[self_index] = 0.0
     probs = probs / probs.sum()
     picks = rng.choice(len(member_list), size=n, p=probs)
-    dst = np.empty(n, dtype=np.uint64)
-    dst_member = np.empty(n, dtype=np.int64)
-    for index in np.unique(picks):
-        mask = picks == index
-        count = int(mask.sum())
-        target = member_list[index]
-        dst_member[mask] = target
-        pool = pools.get(target)
-        if pool is None or not pool.entries:
-            dst[mask] = rng.integers(1 << 24, 223 << 24, size=count, dtype=np.uint64)
-            continue
-        addrs, _origins, _hidden = pool_sampler.sample(
-            rng, pool, count, visible_only=True
-        )
-        dst[mask] = addrs
-    return dst, dst_member
+    _entries, dst = targets.draw(rng, picks, visible_only=True)
+    return dst, np.asarray(member_list, dtype=np.int64)[picks]

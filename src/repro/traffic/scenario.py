@@ -28,6 +28,7 @@ from repro.bgp.rib import GlobalRIB
 from repro.datasets.zmap import NTPServerCensus, generate_ntp_census
 from repro.ixp.flows import PROTO_TCP, PROTO_UDP, FlowTable, TruthLabel
 from repro.ixp.model import IXP
+from repro.obs.trace import trace
 from repro.topology.model import ASTopology
 from repro.traffic.addressing import (
     BogonSampler,
@@ -151,57 +152,61 @@ def generate_traffic(
             rng, routed_space, n_servers=config.n_ntp_servers
         )
 
-    regular = generate_regular(
-        rng, ixp, pools, diurnal, config.total_regular_rows, pool_sampler
-    )
+    with trace("world.traffic.regular", rows=config.total_regular_rows):
+        regular = generate_regular(
+            rng, ixp, pools, diurnal, config.total_regular_rows, pool_sampler
+        )
     volumes = _member_packet_volumes(regular)
     total_packets = float(regular.packets.sum()) or 1.0
     member_array = np.array(members, dtype=np.int64)
 
     tables = [regular]
-    tables.extend(
-        _stray_tables(
-            rng, topo, ixp, config, behaviors, volumes, total_packets,
-            diurnal, pools, pool_sampler, member_array, bogon_sampler,
-        )
-    )
-    tables.append(
-        _baseline_leaks(
-            rng, config, behaviors, volumes, unrouted_sampler,
-            routed_sampler, bogon_sampler, member_array, routed_space,
-        )
-    )
-
-    all_link_addrs = np.array(
-        [addr for pair in topo.link_addresses.values() for addr in pair],
-        dtype=np.uint64,
-    )
-    if all_link_addrs.size:
-        routed_pids, _ = rib.lookup_many(all_link_addrs)
-        routed_router_addrs = all_link_addrs[routed_pids >= 0]
-    else:
-        routed_router_addrs = all_link_addrs
-    plan = _plan_attacks(
-        rng, config, behaviors, volumes, total_packets, routed_sampler,
-        census, topo, collector_peer_asns or set(), routed_router_addrs,
-    )
-    response_member_of = _response_member_map(rng, rib, pools)
-    for event in plan.floods:
-        dst_member = _other_member(rng, member_array, event.member)
-        tables.append(
-            emit_flood(
-                rng, event, unrouted_sampler, routed_sampler, bogon_sampler,
-                dst_member,
+    with trace("world.traffic.stray"):
+        tables.extend(
+            _stray_tables(
+                rng, topo, ixp, config, behaviors, volumes, total_packets,
+                diurnal, pools, pool_sampler, member_array, bogon_sampler,
             )
         )
-    for event in plan.amplifications:
-        dst_member = _other_member(rng, member_array, event.member)
-        trigger, response = emit_amplification(
-            rng, event, dst_member, response_member_of,
-            response_visibility=config.response_visibility,
+    with trace("world.traffic.leaks"):
+        tables.append(
+            _baseline_leaks(
+                rng, config, behaviors, volumes, unrouted_sampler,
+                routed_sampler, bogon_sampler, member_array, routed_space,
+            )
         )
-        tables.append(trigger)
-        tables.append(response)
+
+    with trace("world.traffic.attacks"):
+        all_link_addrs = np.array(
+            [addr for pair in topo.link_addresses.values() for addr in pair],
+            dtype=np.uint64,
+        )
+        if all_link_addrs.size:
+            routed_pids, _ = rib.lookup_many(all_link_addrs)
+            routed_router_addrs = all_link_addrs[routed_pids >= 0]
+        else:
+            routed_router_addrs = all_link_addrs
+        plan = _plan_attacks(
+            rng, config, behaviors, volumes, total_packets, routed_sampler,
+            census, topo, collector_peer_asns or set(), routed_router_addrs,
+        )
+        response_member_of = _response_member_map(rng, rib, pools)
+        for event in plan.floods:
+            dst_member = _other_member(rng, member_array, event.member)
+            tables.append(
+                emit_flood(
+                    rng, event, unrouted_sampler, routed_sampler, bogon_sampler,
+                    dst_member,
+                )
+            )
+        for event in plan.amplifications:
+            dst_member = _other_member(rng, member_array, event.member)
+            trigger, response = emit_amplification(
+                rng, event, dst_member, response_member_of,
+                response_visibility=config.response_visibility,
+            )
+            tables.append(trigger)
+            tables.append(response)
 
     flows = FlowTable.concat(tables).sort_by_time()
     return TrafficScenario(

@@ -145,16 +145,7 @@ def _destination_addrs(
     pool_sampler: PoolAddressSampler,
 ) -> np.ndarray:
     """Addresses inside each destination member's visible pool."""
-    dst = np.empty(dst_member.size, dtype=np.uint64)
-    for target in np.unique(dst_member):
-        mask = dst_member == target
-        count = int(mask.sum())
-        pool = pools.get(int(target))
-        if pool is None or not pool.entries:
-            dst[mask] = rng.integers(1 << 24, 223 << 24, size=count, dtype=np.uint64)
-            continue
-        addrs, _origins, _hidden = pool_sampler.sample(
-            rng, pool, count, visible_only=True
-        )
-        dst[mask] = addrs
-    return dst
+    targets, groups = np.unique(dst_member, return_inverse=True)
+    return pool_sampler.destinations(
+        rng, groups, [pools.get(int(target)) for target in targets]
+    )

@@ -1,9 +1,10 @@
 """Golden world digests: the cold build stays bit-identical.
 
 Each world's observation stream, post-BGP RNG state, union RIB, every
-approach's validity matrices and Table 1 counts must match the digests
-committed in ``tests/golden/world_digests.json``. A faster propagation
-or RIB ingest that changes any of them has changed the study's data.
+approach's validity matrices, generated flows and Table 1 counts must
+match the digests committed in ``tests/golden/world_digests.json``. A
+faster propagation, RIB ingest or traffic generator that changes any
+of them has changed the study's data.
 The default-preset world is checked by ``benchmarks/bench_world_golden.py``.
 """
 

@@ -543,7 +543,9 @@ class TestCliObservability:
         spans = {span["name"] for span in data.to_dict()["spans"]}
         # World-assembly phases are traced end to end.
         assert {"world.topology", "world.bgp", "world.cones",
-                "world.traffic"} <= spans
+                "world.traffic", "world.traffic.regular",
+                "world.traffic.stray", "world.traffic.leaks",
+                "world.traffic.attacks"} <= spans
 
     def test_quarantine_metric_counted(self, world, tmp_path, capsys,
                                        clean_obs):
