@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -488,6 +489,16 @@ class GlobalRIB:
     def path_members(self, prefix_id: int) -> set[int]:
         """Every AS seen on any live path announcing this prefix (Naive)."""
         return set(self._path_members_per_prefix[prefix_id])
+
+    def path_member_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(prefix id, AS)`` of :meth:`path_members`, as two
+        int64 arrays grouped by ascending prefix id."""
+        members = self._path_members_per_prefix
+        counts = np.fromiter(map(len, members), np.int64, len(members))
+        asns = np.fromiter(
+            chain.from_iterable(members), np.int64, int(counts.sum())
+        )
+        return np.repeat(np.arange(len(members), dtype=np.int64), counts), asns
 
     def paths(self) -> Iterator[tuple[int, ...]]:
         """All unique live AS paths."""

@@ -25,17 +25,19 @@ class NaiveValidSpace(ValidSpaceMap):
 
     def _build(self) -> None:
         rib = self._rib
-        indexer = rib.indexer
-        n_prefixes = rib.num_prefixes
-        row_bytes = (n_prefixes + 7) // 8
-        self._matrix = np.zeros((len(indexer), row_bytes), dtype=np.uint8)
-        for prefix_id in range(n_prefixes):
-            byte, bit = prefix_id >> 3, prefix_id & 7
-            mask = np.uint8(1 << bit)
-            for asn in rib.path_members(prefix_id):
-                index = indexer.index_or_none(asn)
-                if index is not None:
-                    self._matrix[index, byte] |= mask
+        asns = np.asarray(rib.indexer.asns(), dtype=np.int64)
+        prefix_ids, members = rib.path_member_pairs()
+        rows = np.searchsorted(asns, members)
+        known = rows < asns.size
+        known[known] = asns[rows[known]] == members[known]
+        rows, prefix_ids = rows[known], prefix_ids[known]
+        row_bytes = (rib.num_prefixes + 7) // 8
+        self._matrix = np.zeros((asns.size, row_bytes), dtype=np.uint8)
+        np.bitwise_or.at(
+            self._matrix.reshape(-1),
+            rows * row_bytes + (prefix_ids >> 3),
+            np.left_shift(1, prefix_ids & 7).astype(np.uint8),
+        )
 
     def refresh(self) -> None:
         """Rebuild the membership matrix from the RIB from scratch."""

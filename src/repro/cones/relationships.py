@@ -27,7 +27,8 @@ of re-running the inference. Its invariants:
 
 * ``refs`` counts the live raw paths behind each collapsed path. Only
   a collapsed path's 0→1 and 1→0 transitions reach the other counts,
-  because the inference sees each collapsed path once.
+  because the inference sees each collapsed path once. Empty raw paths
+  carry no AS and are skipped.
 * ``pairs`` counts, per mid-path ``(AS, neighbor)`` pair, its
   occurrences on live collapsed paths; ``rank`` holds the transit
   degree, the number of an AS's pairs with a nonzero count (ASes of
@@ -36,6 +37,17 @@ of re-running the inference. Its invariants:
   path, cast at the current ranks; entries never hold 0.
 * ``relationships`` holds the decision for every link with a vote,
   taken from the link's votes and its endpoints' current ranks.
+
+The two ways in differ in shape, not in result. The cold build (the
+constructor) runs over every path at once, so it is a set of array
+folds over one flat table of the unique collapsed paths, in dense AS
+indices: pairs and degrees from one ``np.unique`` over packed keys,
+each path's first peak from a segment max, votes folded per packed
+link key, and every link decided in one vectorised comparison. Only
+the final dicts are built in Python. :meth:`RelationshipLedger.apply`
+stays per path: a route delta touches a few paths, where numpy's
+per-call overhead would cost more than the dict updates it replaces.
+A cold build equals ``RelationshipLedger().apply(paths, ())``.
 
 A path's votes depend on the rank of every AS on it, and a link's
 decision on the ranks of its two ends. So a path-set change that moves
@@ -52,6 +64,12 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from collections.abc import Iterable
+from itertools import chain
+from operator import getitem
+
+import numpy as np
+
+from repro.util.indexing import int_bincount
 
 
 class InferredRelationship(enum.Enum):
@@ -83,6 +101,109 @@ def _mid_pairs(path: tuple[int, ...]) -> list[tuple[int, int]]:
     return [*zip(mid, path), *zip(mid, path[2:])]
 
 
+#: Relationship per decision code of the cold build's link fold.
+_DECISIONS = (
+    InferredRelationship.PEER,
+    InferredRelationship.C2P,
+    InferredRelationship.P2C,
+)
+
+
+def _path_table(
+    paths: list[tuple[int, ...]],
+) -> tuple[dict[tuple[int, ...], int], list[int], np.ndarray, np.ndarray]:
+    """``refs`` of the non-empty raw ``paths``, the ASNs on them in
+    ascending order, and their unique collapsed paths as CSR arrays:
+    the dense AS index of every position and the length of every path.
+
+    Prepending is a mask over the flat table; only the prepended paths
+    get new (collapsed) tuples, so ``refs`` shares the rest with the
+    RIB. The ASNs are int objects taken from the paths, so the ledger's
+    keys share them too instead of holding a copy per key.
+    """
+    lengths = np.fromiter(map(len, paths), np.int64, len(paths))
+    flat = np.fromiter(chain.from_iterable(paths), np.int64, int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
+    repeats = np.zeros(flat.size, dtype=bool)
+    repeats[1:] = flat[1:] == flat[:-1]
+    repeats[starts] = False  # a path's first AS repeats no predecessor
+    if repeats.any():
+        dropped = np.add.reduceat(repeats, starts)
+        paths = list(paths)
+        for i in np.flatnonzero(dropped).tolist():
+            paths[i] = _collapse(paths[i])
+        flat = flat[~repeats]
+        lengths -= dropped
+        starts = np.cumsum(lengths) - lengths
+    del repeats
+    refs = dict.fromkeys(paths, 1)
+    if len(refs) < len(paths):
+        refs = dict(Counter(paths))
+        # Distinct raw paths collapsed to one: keep one row per path.
+        keep = np.fromiter(
+            dict(zip(paths, range(len(paths)))).values(), np.int64, len(refs)
+        )
+        lengths = lengths[keep]
+        shift = np.repeat(starts[keep] - (np.cumsum(lengths) - lengths), lengths)
+        flat = flat[np.arange(shift.size, dtype=np.int64) + shift]
+        starts = np.cumsum(lengths) - lengths
+    _, first, dense = np.unique(flat, return_index=True, return_inverse=True)
+    del flat
+    rows = np.searchsorted(starts, first, side="right") - 1
+    unique = list(refs)  # row order
+    asns = list(
+        map(getitem, map(unique.__getitem__, rows.tolist()),
+            (first - starts[rows]).tolist())
+    )
+    index_dtype = np.int32 if dense.size <= np.iinfo(np.int32).max else np.int64
+    return refs, asns, dense.astype(index_dtype), lengths.astype(index_dtype)
+
+
+def _positions(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per flat position of a CSR path table: its path's row, its index
+    within the path, and the index of its path's last AS."""
+    path_of = np.repeat(np.arange(lengths.size, dtype=lengths.dtype), lengths)
+    starts = np.cumsum(lengths, dtype=lengths.dtype) - lengths
+    local = np.arange(path_of.size, dtype=lengths.dtype) - starts[path_of]
+    return path_of, local, (lengths - 1)[path_of]
+
+
+def _fold_pairs(
+    dense: np.ndarray,
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mid-path ``(AS, neighbor)`` pairs as sorted packed keys
+    ``AS * n + neighbor`` with their counts, and the transit degree of
+    every dense AS."""
+    _, local, last = positions
+    mid = np.flatnonzero((local > 0) & (local < last))
+    holder = dense[mid].astype(np.int64) * n
+    pair_keys, pair_counts = np.unique(
+        np.concatenate((holder + dense[mid - 1], holder + dense[mid + 1])),
+        return_counts=True,
+    )
+    return pair_keys, pair_counts, np.bincount(pair_keys // n, minlength=n)
+
+
+def _keyed(
+    asns: list[int], keys: np.ndarray, values: Iterable[object]
+) -> dict[tuple[int, int], object]:
+    """``{(a, b): value}`` from packed dense keys ``a * len(asns) + b``."""
+    first, second = np.divmod(keys, len(asns))
+    asn = asns.__getitem__
+    return dict(zip(zip(map(asn, first.tolist()), map(asn, second.tolist())),
+                    values))
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``values`` at ``queries`` among sorted ``keys``; 0 where absent."""
+    if not keys.size:
+        return np.zeros(queries.size, dtype=np.int64)
+    slot = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    return np.where(keys[slot] == queries, values[slot], 0)
+
+
 class RelationshipLedger:
     """Relationship inference over a multiset of live AS paths.
 
@@ -100,18 +221,135 @@ class RelationshipLedger:
         self.peer_reach_ratio = peer_reach_ratio
         self.conflict_threshold = conflict_threshold
         self.interior_weight = interior_weight
-        self._refs: dict[tuple[int, ...], int] = dict(
-            Counter(map(_collapse, filter(None, paths)))
-        )
-        unique = list(self._refs)
+        self._refs: dict[tuple[int, ...], int] = {}
         self._pairs: dict[tuple[int, int], int] = {}
         self._rank: dict[int, int] = {}
-        self._count_pairs(unique, 1, {})
         self._c2p: dict[tuple[int, int], int] = {}  # (customer, provider)
         self._peer: dict[tuple[int, int], int] = {}  # ordered (min, max)
         #: Relationship of ``a`` towards ``b`` per link ``(a, b)``, ``a < b``.
         self.relationships: dict[tuple[int, int], InferredRelationship] = {}
-        self._decide(self._cast(unique, self._rank, 1))
+        paths = list(filter(None, paths))
+        if paths:
+            self._cold_build(paths)
+
+    def _cold_build(self, paths: list[tuple[int, ...]]) -> None:
+        """Fill the empty ledger from non-empty raw ``paths``: the same
+        counts and decisions as :meth:`apply`, as array folds. Each fold
+        is a function, so its temporaries are freed before the dicts
+        are built."""
+        self._refs, asns, dense, lengths = _path_table(paths)
+        positions = _positions(lengths)
+        pair_keys, pair_counts, degree = _fold_pairs(dense, positions, len(asns))
+        self._pairs = _keyed(asns, pair_keys, pair_counts.tolist())
+        del pair_keys, pair_counts
+        ranked = np.flatnonzero(degree)
+        self._rank = dict(
+            zip(map(asns.__getitem__, ranked.tolist()), degree[ranked].tolist())
+        )
+        c2p, peer, links = self._fold_votes(dense, lengths, positions, degree)
+        del dense, lengths, positions
+        code = self._decide_links(links, c2p, peer, degree)
+        self._c2p = _keyed(asns, c2p[0], c2p[1].tolist())
+        self._peer = _keyed(asns, peer[0], peer[1].tolist())
+        decided = code >= 0
+        decisions = map(_DECISIONS.__getitem__, code[decided].tolist())
+        self.relationships = _keyed(asns, links[decided], decisions)
+
+    def _fold_votes(
+        self,
+        dense: np.ndarray,
+        lengths: np.ndarray,
+        positions: tuple[np.ndarray, np.ndarray, np.ndarray],
+        degree: np.ndarray,
+    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray],
+               np.ndarray]:
+        """Every path's votes at ranks ``degree``, as :meth:`_cast` casts
+        them: ``(keys, votes)`` of the nonzero c2p votes (packed
+        customer, provider) and of the peer votes (packed min, max), and
+        the sorted packed keys of every link crossed.
+
+        Each temporary is dropped once used: at paper scale every one
+        is tens of MB."""
+        n = degree.size
+        path_of, local, last = positions
+        starts = np.cumsum(lengths, dtype=lengths.dtype) - lengths
+        # Each path's first peak: the segment max, then the first
+        # position that reaches it (as max() over the ranks picks).
+        reach = degree[dense]
+        peak = np.maximum.reduceat(reach, starts)
+        beyond = np.iinfo(local.dtype).max
+        top = np.minimum.reduceat(
+            np.where(reach == peak[path_of], local, beyond), starts
+        )
+        del starts
+        # One vote per link: a position and its successor on a path.
+        link = np.flatnonzero(local < last)
+        path = path_of[link]
+        offset = local[link] - top[path]  # 0 at the peak, -1 just before
+        top_rank = np.maximum(peak[path], 1)
+        del path, top, peak
+        other = np.where(offset == 0, reach[link + 1], reach[link])
+        del reach
+        left, right = dense[link], dense[link + 1]
+        del link
+        adjacent = (offset == 0) | (offset == -1)
+        peer = adjacent & (other / top_rank >= self.peer_reach_ratio)
+        del other, top_rank
+        # Left customer of right before the peak, else reversed.
+        uphill = offset < 0
+        del offset
+        voted = ~peer
+        customer = np.where(uphill, left, right)[voted].astype(np.int64)
+        provider = np.where(uphill, right, left)[voted]
+        weight = np.where(adjacent, 1, self.interior_weight)[voted]
+        del uphill, voted, adjacent
+        c2p_keys, slot = np.unique(customer * n + provider, return_inverse=True)
+        del customer, provider
+        c2p_votes = int_bincount(slot, weight, len(c2p_keys))
+        del slot, weight
+        nonzero = c2p_votes != 0
+        link_keys = (
+            np.minimum(left, right).astype(np.int64) * n
+            + np.maximum(left, right)
+        )
+        del left, right
+        peer_keys, peer_votes = np.unique(link_keys[peer], return_counts=True)
+        return (
+            (c2p_keys[nonzero], c2p_votes[nonzero]),
+            (peer_keys, peer_votes),
+            np.unique(link_keys),
+        )
+
+    def _decide_links(
+        self,
+        links: np.ndarray,
+        c2p: tuple[np.ndarray, np.ndarray],
+        peer: tuple[np.ndarray, np.ndarray],
+        degree: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`_decide` for every packed link ``(a, b)``, ``a < b``, at
+        once: an index into ``_DECISIONS``, or -1 for a link without
+        votes."""
+        n = degree.size
+        a, b = np.divmod(links, n)
+        a_cust = _lookup(*c2p, links)
+        b_cust = _lookup(*c2p, b * n + a)
+        peers = _lookup(*peer, links)
+        directional = a_cust + b_cust
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conflict = (
+                np.minimum(a_cust, b_cust) / directional
+                > self.conflict_threshold
+            )
+        tie = a_cust == b_cust  # tie: the lower-reach side is the customer
+        a_rank, b_rank = degree[a], degree[b]
+        a_cust = a_cust + (tie & (b_rank >= a_rank))
+        b_cust = b_cust + (tie & (a_rank > b_rank))
+        code = np.where(
+            (peers > directional) | conflict, 0, np.where(a_cust > b_cust, 1, 2)
+        )
+        code[(directional == 0) & (peers == 0)] = -1
+        return code
 
     def transit_degree(self) -> dict[int, int]:
         """Transit degree per AS on a live path (0 for endpoints only)."""
@@ -127,12 +365,13 @@ class RelationshipLedger:
         links whose relationship changed (appeared, moved or vanished).
 
         Removals are counted first, so a path both removed and added
-        is re-voted rather than double-counted.
+        is re-voted rather than double-counted. Empty raw paths are
+        skipped, as the cold build skips them.
         """
         refs = self._refs
         died: list[tuple[int, ...]] = []
         born: list[tuple[int, ...]] = []
-        for raw in removed:
+        for raw in filter(None, removed):
             path = _collapse(raw)
             count = refs[path] - 1
             if count:
@@ -140,7 +379,7 @@ class RelationshipLedger:
             else:
                 del refs[path]
                 died.append(path)
-        for raw in added:
+        for raw in filter(None, added):
             path = _collapse(raw)
             count = refs.get(path, 0)
             refs[path] = count + 1

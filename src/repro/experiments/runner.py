@@ -60,19 +60,24 @@ class World:
 def build_valid_space_maps(
     rib: GlobalRIB, as2org: As2OrgDataset
 ) -> dict[str, ValidSpaceMap]:
-    """All five inference variants of Figure 2 (plus naive+orgs)."""
-    naive = NaiveValidSpace(rib)
-    cc = CustomerConeValidSpace(rib)
-    full = FullConeValidSpace(rib)
-    mapping = as2org.asn_to_org()
-    return {
-        "naive": naive,
-        "cc": cc,
-        "full": full,
-        "naive+orgs": apply_org_merge(naive, mapping),
-        "cc+orgs": apply_org_merge(cc, mapping),
-        "full+orgs": apply_org_merge(full, mapping),
-    }
+    """All five inference variants of Figure 2 (plus naive+orgs), one
+    ``world.cones.<approach>`` span each (``.orgs`` for the merges)."""
+    with trace("world.cones.naive"):
+        naive = NaiveValidSpace(rib)
+    with trace("world.cones.cc"):
+        cc = CustomerConeValidSpace(rib)
+    with trace("world.cones.full"):
+        full = FullConeValidSpace(rib)
+    with trace("world.cones.orgs"):
+        mapping = as2org.asn_to_org()
+        return {
+            "naive": naive,
+            "cc": cc,
+            "full": full,
+            "naive+orgs": apply_org_merge(naive, mapping),
+            "cc+orgs": apply_org_merge(cc, mapping),
+            "full+orgs": apply_org_merge(full, mapping),
+        }
 
 
 def build_world(

@@ -34,6 +34,9 @@ _RECORD = "TABLE_DUMP2"
 
 _ON_ERROR = ("raise", "quarantine")
 
+#: The largest 4-byte AS number.
+_ASN_MAX = 2**32 - 1
+
 
 def write_route_dump(
     observations: Iterable[RouteObservation], path: str | pathlib.Path
@@ -58,16 +61,31 @@ def write_route_dump(
     return count
 
 
+def _number(token: str, what: str) -> int:
+    """A token of plain ASCII digits as an int; ``int()`` alone would
+    also take signs, underscores and non-ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad {what} {token!r}")
+    return int(token)
+
+
+def _asn(token: str) -> int:
+    asn = _number(token, "ASN")
+    if asn > _ASN_MAX:
+        raise ValueError(f"ASN {asn} out of range")
+    return asn
+
+
 def _parse_record(line: str) -> RouteObservation:
     """One dump line → observation; raises ValueError on any defect."""
     fields = line.split("|")
     if len(fields) != 7 or fields[0] != _RECORD:
         raise ValueError("malformed record")
     _record, timestamp, kind, source, peer, prefix_text, path_text = fields
-    as_path = tuple(int(asn) for asn in path_text.split())
+    as_path = tuple(map(_asn, path_text.split()))
     if not as_path:
         raise ValueError("empty AS path")
-    if int(peer) != as_path[0]:
+    if _asn(peer) != as_path[0]:
         raise ValueError(
             f"peer {peer} does not match path head {as_path[0]}"
         )
@@ -77,7 +95,7 @@ def _parse_record(line: str) -> RouteObservation:
         prefix=Prefix.parse(prefix_text),
         path=as_path,
         source=source,
-        timestamp=int(timestamp),
+        timestamp=_number(timestamp, "timestamp"),
         from_update=kind in ("A", "W"),
         withdrawal=kind == "W",
     )

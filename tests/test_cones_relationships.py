@@ -1,6 +1,6 @@
 """Tests for AS relationship inference."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cones.relationships import (
@@ -219,3 +219,94 @@ class TestLedgerAgainstReference:
         assert ledger.relationships == cold
         assert ledger.apply([], [(1, 2, 2, 2, 3)]) == set(cold)
         assert ledger.relationships == {}
+
+
+# ASNs at and above 2**31 make any packing of raw ASN pairs into one
+# int64 key overflow; the small ones make degrees tie.
+_asns = st.sampled_from((1, 2, 3, 4, 5, 6, 2**31 - 1, 2**31, 2**32 - 1))
+# Empty and 1-AS paths, prepending, and paths that collapse to one AS.
+_cold_path = st.lists(
+    st.tuples(_asns, st.integers(1, 3)), max_size=6
+).map(lambda hops: tuple(asn for asn, times in hops for _ in range(times)))
+
+
+@st.composite
+def _path_lists(draw):
+    """Raw paths, some repeated verbatim."""
+    paths = draw(st.lists(_cold_path, max_size=30))
+    if paths:
+        paths += draw(st.lists(st.sampled_from(paths), max_size=5))
+    return paths
+
+
+_CONTAINERS = ("_refs", "_pairs", "_rank", "_c2p", "_peer", "relationships")
+
+
+class TestColdBuild:
+    """The array-fold cold build against the per-path delta path run
+    from an empty ledger, and against the one-shot reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_path_lists())
+    @example([])
+    @example([(7,)])
+    @example([(5, 5, 5)])
+    @example([(1, 2, 3), (1, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3)])
+    @example([(1, 2, 3), (3, 2, 1), (4, 2, 5), (5, 3, 4)])
+    @example([(2**32 - 1, 2**31, 1), (1, 2**31, 2**32 - 1, 2)])
+    def test_equals_apply_from_empty(self, paths):
+        assert_cold_equals_apply(paths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _path_lists(),
+        st.sampled_from((0.3, 0.75, 1.0)),
+        # At 0.5 and above equal directional votes are no conflict, so
+        # the reach tie-break decides.
+        st.sampled_from((0.0, 0.25, 0.6)),
+        st.sampled_from((0, 1, 2, 5)),
+    )
+    # Link (3, 4) gets one vote each way between equal-degree ends, so
+    # the reach tie-break decides it.
+    @example([(5, 2, 4, 3), (5, 1, 3, 4)], 0.75, 0.6, 2)
+    def test_parameters(self, paths, ratio, threshold, weight):
+        assert_cold_equals_apply(
+            paths,
+            peer_reach_ratio=ratio,
+            conflict_threshold=threshold,
+            interior_weight=weight,
+        )
+
+
+def assert_cold_equals_apply(paths, **params):
+    """Every container of the cold build equals the delta path's from
+    an empty ledger, and the relationships the reference's."""
+    cold = RelationshipLedger(paths, **params)
+    delta = RelationshipLedger(**params)
+    delta.apply(paths, ())
+    for name in _CONTAINERS:
+        assert getattr(cold, name) == getattr(delta, name), name
+    # Plain ints, not numpy scalars, as the delta path stores.
+    counts = (cold._refs, cold._pairs, cold._rank, cold._c2p, cold._peer)
+    assert {type(v) for d in counts for v in d.values()} <= {int}
+    assert {type(asn) for asn in cold._rank} <= {int}
+    if params.get("interior_weight", 1):
+        # With weightless interior votes the reference, unlike the
+        # ledger, still decides links that hold no vote.
+        assert cold.relationships == reference.infer_relationships(
+            paths, **params
+        )
+
+
+class TestEmptyPaths:
+    def test_apply_skips_empty_paths(self):
+        cold = RelationshipLedger([(1, 2, 3), ()])
+        patched = RelationshipLedger()
+        patched.apply([(1, 2, 3), ()], [])
+        assert vars(patched) == vars(cold)
+        assert () not in patched._refs
+
+    def test_removing_an_empty_path_is_a_no_op(self):
+        ledger = RelationshipLedger([(1, 2, 3), ()])
+        assert ledger.apply([], [()]) == set()
+        assert vars(ledger) == vars(RelationshipLedger([(1, 2, 3)]))

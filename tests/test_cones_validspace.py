@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.messages import RouteObservation
 from repro.bgp.rib import GlobalRIB
@@ -116,6 +118,48 @@ class TestNaive:
         naive = NaiveValidSpace(toy_rib)
         ids = naive.valid_prefix_ids(100)
         assert toy_rib.prefix_id(Prefix.parse("10.0.0.0/16")) in ids
+
+    def test_empty_rib(self):
+        naive = NaiveValidSpace(GlobalRIB())
+        assert naive._matrix.shape == (0, 0)
+        assert not naive.is_valid(1, 0, -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 20),
+                st.lists(st.sampled_from((1, 2, 3, 2**31, 2**32 - 1)),
+                         min_size=1, max_size=4).map(tuple),
+            ),
+            max_size=40,
+        ),
+        st.lists(st.integers(0, 39), max_size=8),
+    )
+    @example([], [])
+    @example([(i, (1, 2)) for i in range(9)], [])
+    def test_every_bit_is_path_membership(self, routes, withdrawn):
+        """Prefix counts of any width (not only multiples of 8), and
+        members after withdrawals have emptied prefixes."""
+        rib = GlobalRIB()
+        rib.add_all(obs(f"10.{i}.0.0/16", *path) for i, path in routes)
+        for j in withdrawn:
+            if j < len(routes):
+                i, path = routes[j]
+                rib.apply(RouteObservation(
+                    Prefix.parse(f"10.{i}.0.0/16"), path, "rrc00",
+                    withdrawal=True,
+                ))
+        naive = NaiveValidSpace(rib)
+        asns = rib.indexer.asns()
+        assert naive._matrix.shape == (len(asns), (rib.num_prefixes + 7) // 8)
+        for asn in asns:
+            bits = np.unpackbits(naive.packed_row(asn), bitorder="little")
+            expected = [
+                asn in rib.path_members(pid) for pid in range(rib.num_prefixes)
+            ]
+            assert bits[: rib.num_prefixes].tolist() == expected
+            assert not bits[rib.num_prefixes:].any()
 
     def test_naive_contained_in_full_sizes(self, toy_rib):
         naive = NaiveValidSpace(toy_rib)

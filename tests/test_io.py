@@ -200,6 +200,49 @@ class TestRouteDumpIO:
         assert "bad kind 'X'" in quarantine.reasons
         assert "malformed record" in quarantine.reasons
 
+    @pytest.mark.parametrize(
+        ("record", "reason"),
+        [
+            ("TABLE_DUMP2|0|B|rrc00|-5|60.0.0.0/16|-5 30", "bad ASN '-5'"),
+            ("TABLE_DUMP2|0|B|rrc00|10|60.0.0.0/16|10 99999999999",
+             "ASN 99999999999 out of range"),
+            ("TABLE_DUMP2|0|B|rrc00|10|60.0.0.0/16|10 1_0", "bad ASN '1_0'"),
+            ("TABLE_DUMP2|0|B|rrc00|1_0|60.0.0.0/16|10 30", "bad ASN '1_0'"),
+            ("TABLE_DUMP2|0|B|rrc00|10|60.0.0.0/16|10 \u0663",
+             "bad ASN '\u0663'"),
+            ("TABLE_DUMP2|-1|B|rrc00|10|60.0.0.0/16|10 30",
+             "bad timestamp '-1'"),
+            ("TABLE_DUMP2|1_0|B|rrc00|10|60.0.0.0/16|10 30",
+             "bad timestamp '1_0'"),
+        ],
+    )
+    def test_rejects_bad_numbers(self, tmp_path, record, reason):
+        """Only plain ASCII digits, and ASNs within 0..2**32-1; ``int()``
+        alone reads '1_0' as 10 and takes signs."""
+        path = tmp_path / "dump.txt"
+        write_route_dump(self._observations(), path)
+        with open(path, "a") as handle:
+            handle.write(record + "\n")
+        with pytest.raises(IngestError) as excinfo:
+            list(load_route_dump(path))
+        assert excinfo.value.line_number == 3
+        assert reason in str(excinfo.value)
+        quarantine = Quarantine(source=str(path))
+        loaded = list(
+            load_route_dump(path, on_error="quarantine", quarantine=quarantine)
+        )
+        assert loaded == self._observations()
+        assert quarantine.line_numbers == [3]
+        assert reason in quarantine.reasons
+
+    def test_accepts_the_largest_asn(self, tmp_path):
+        path = tmp_path / "dump.txt"
+        path.write_text(
+            "TABLE_DUMP2|0|B|rrc00|4294967295|60.0.0.0/16|4294967295 0\n"
+        )
+        (loaded,) = load_route_dump(path)
+        assert loaded.path == (2**32 - 1, 0)
+
     def test_world_scale_roundtrip(self, bgp_only_world, tmp_path):
         from repro.bgp.rib import GlobalRIB
         from repro.bgp.simulate import simulate_bgp

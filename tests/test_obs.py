@@ -20,6 +20,7 @@ import pytest
 from repro.cli import main
 from repro.core.classifier import MP_START_METHOD_ENV
 from repro.experiments import WorldConfig, build_world
+from repro.experiments.runner import build_valid_space_maps
 from repro.io import save_flows_csv, save_flows_npz
 from repro.obs import (
     MetricsRegistry,
@@ -540,12 +541,28 @@ class TestCliObservability:
         code = main(["study", "--preset", "tiny", "--trace"])
         assert code == 0
         data = RunManifest.load(tmp_path / "repro_study.manifest.json")
-        spans = {span["name"] for span in data.to_dict()["spans"]}
+        records = data.to_dict()["spans"]
+        spans = {span["name"] for span in records}
+        assert {span["parent"] for span in records
+                if span["name"].startswith("world.cones.")} == {"world.cones"}
         # World-assembly phases are traced end to end.
         assert {"world.topology", "world.bgp", "world.cones",
-                "world.traffic", "world.traffic.regular",
+                "world.cones.naive", "world.cones.cc", "world.cones.full",
+                "world.cones.orgs", "world.traffic", "world.traffic.regular",
                 "world.traffic.stray", "world.traffic.leaks",
                 "world.traffic.attacks"} <= spans
+
+    def test_warm_start_traces_each_cone_build(self, world, clean_obs):
+        """The watch daemon's warm start builds the maps outside any
+        world span; each approach still gets its own span."""
+        enable_tracing()
+        build_valid_space_maps(world.rib, world.as2org)
+        records = current_tracer().drain()
+        assert [r.name for r in records] == [
+            "world.cones.naive", "world.cones.cc", "world.cones.full",
+            "world.cones.orgs",
+        ]
+        assert {r.parent for r in records} == {None}
 
     def test_quarantine_metric_counted(self, world, tmp_path, capsys,
                                        clean_obs):
