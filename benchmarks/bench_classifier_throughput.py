@@ -11,9 +11,9 @@ PERF columns compare these classification paths on the default world:
 * ``stream``  — ``classify_stream`` over bounded chunks with a
   4-process pool on a ≥4M-row scenario (must beat single-shot
   wall-clock while producing identical per-approach class counts),
-* ``sketch``  — the constant-memory sketch triage over the
-  shared-memory ring transport (must be ≥3× the parallel exact
-  baseline measured in the same run).
+* ``sketch``  — the constant-memory sketch triage over the same
+  4-process stream (must be ≥3× the parallel exact baseline measured
+  in the same run).
 """
 
 import time
@@ -171,16 +171,17 @@ def bench_stream_parallel_vs_single(benchmark, world, save_artefact):
     )
 
 
-def bench_stream_sketch_shm_speedup(benchmark, world, save_artefact):
-    """Sketch triage over the shm ring vs the pre-PR parallel baseline.
+def bench_stream_sketch_speedup(benchmark, world, save_artefact):
+    """Sketch triage vs the exact parallel stream over the same table.
 
-    The baseline is the exact engine with pickled chunks and 4 workers
-    — the configuration ``perf_stream_parallel`` has always measured.
-    The new path swaps in the shared-memory ring (16-byte subset rows)
-    and the constant-memory sketch triage. Acceptance: ≥3× the
-    baseline wall-clock measured in the same run, with the triage
-    counters honouring their bounds against the exact result (bogon
-    and unrouted equal, invalid a lower bound, valid an upper bound).
+    The baseline is the exact engine with 4 workers — the configuration
+    ``perf_stream_parallel`` measures. The sketch side swaps in the
+    constant-memory sketch triage; both sides deliver chunks the same
+    way (row ranges of the inherited table under fork, pickled chunks
+    otherwise). Acceptance: ≥3× the baseline wall-clock measured in
+    the same run, with the triage counters honouring their bounds
+    against the exact result (bogon and unrouted equal, invalid a
+    lower bound, valid an upper bound).
     """
     classifier = world.classifier
     big = _tile_flows(world.scenario.flows, STREAM_SCENARIO_ROWS)
@@ -188,25 +189,20 @@ def bench_stream_sketch_shm_speedup(benchmark, world, save_artefact):
     # One throwaway run per path so pool start-up and page-cache
     # effects do not land on either side of the speedup.
     exact = classifier.classify_stream(big, n_workers=4)
-    triaged = classifier.classify_stream(
-        big, n_workers=4, transport="shm", triage="sketch"
-    )
+    triaged = classifier.classify_stream(big, n_workers=4, triage="sketch")
 
     base_s = min(
         _timed(classifier.classify_stream, big, n_workers=4)
         for _ in range(2)
     )
     sketch_s = min(
-        _timed(
-            classifier.classify_stream, big, n_workers=4,
-            transport="shm", triage="sketch",
-        )
+        _timed(classifier.classify_stream, big, n_workers=4, triage="sketch")
         for _ in range(2)
     )
     benchmark.pedantic(
         classifier.classify_stream,
         args=(big,),
-        kwargs={"n_workers": 4, "transport": "shm", "triage": "sketch"},
+        kwargs={"n_workers": 4, "triage": "sketch"},
         rounds=1,
         iterations=1,
     )
@@ -224,17 +220,17 @@ def bench_stream_sketch_shm_speedup(benchmark, world, save_artefact):
     speedup = base_s / sketch_s
     benchmark.extra_info["rows"] = len(big)
     benchmark.extra_info["baseline_seconds"] = round(base_s, 2)
-    benchmark.extra_info["sketch_shm_seconds"] = round(sketch_s, 2)
+    benchmark.extra_info["sketch_seconds"] = round(sketch_s, 2)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     save_artefact(
-        "perf_sketch_shm_stream",
+        "perf_sketch_stream",
         "\n".join(
             [
-                "sketch triage + shm transport vs pre-PR parallel baseline "
+                "sketch triage vs the exact parallel stream "
                 f"({len(big)} rows, 4 workers)",
-                f"  pickle+exact x4 {base_s:8.2f}s  "
-                f"{len(big) / base_s:12.0f} rows/s  (pre-PR baseline config)",
-                f"  shm+sketch x4   {sketch_s:8.2f}s  "
+                f"  exact x4   {base_s:8.2f}s  "
+                f"{len(big) / base_s:12.0f} rows/s",
+                f"  sketch x4  {sketch_s:8.2f}s  "
                 f"{len(big) / sketch_s:12.0f} rows/s",
                 f"  speedup {speedup:.2f}x "
                 "(acceptance: >= 3x the same-run baseline)",
@@ -244,7 +240,7 @@ def bench_stream_sketch_shm_speedup(benchmark, world, save_artefact):
         ),
     )
     assert speedup >= 3.0, (
-        f"sketch+shm only {speedup:.2f}x over the parallel baseline"
+        f"sketch triage only {speedup:.2f}x over the parallel baseline"
     )
 
 

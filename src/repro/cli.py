@@ -310,7 +310,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         n_workers=args.workers,
         chunk_rows=args.chunk_rows,
         policy=args.policy,
-        transport=args.transport,
         triage=args.triage,
     )
     print(
@@ -577,13 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"rows per streaming chunk (default: {DEFAULT_CHUNK_ROWS}, "
         "or a larger constant-memory default with --triage)",
-    )
-    classify.add_argument(
-        "--transport",
-        choices=("pickle", "shm"),
-        default="pickle",
-        help="how chunks reach pool workers: pickled through a pipe, "
-        "or zero-copy through a shared-memory ring",
     )
     classify.add_argument(
         "--triage",

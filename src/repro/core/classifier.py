@@ -50,7 +50,6 @@ from repro.core.results import (
     StreamClassificationResult,
     summarize_chunk,
 )
-from repro.core.shmring import FlowRing, RingSpec, WorkerRing, stage_read
 from repro.cones.base import ValidSpaceMap
 from repro.datasets.bogons import bogon_prefix_set
 from repro.errors import ClassificationError, WorkerError
@@ -64,7 +63,7 @@ from repro.obs.trace import current_tracer, enable_tracing
 DEFAULT_CHUNK_ROWS = 262_144
 
 #: Default rows per chunk on the sketch-triage path. Triage keeps no
-#: per-row state (no label vectors, 16-byte ring rows), so much larger
+#: per-row state (no label vectors), so much larger
 #: chunks cost nothing in memory while amortising per-chunk overhead —
 #: chunk iteration, digest fixed costs, pool dispatch — over 4× the
 #: rows, and giving the (src, member) dedupe sort more repetition to
@@ -91,12 +90,9 @@ _STREAM_CLASSIFIER: "SpoofingClassifier | None" = None
 _STREAM_TABLE: FlowTable | None = None
 _STREAM_INJECTOR: FaultInjector | None = None
 
-#: The worker's attachment to the shared-memory chunk ring
-#: (``transport="shm"``) and the armed sketch-triage state
-#: (``triage="sketch"``) — both follow the same fork/spawn protocol as
-#: the classifier itself (fork inherits, spawn receives via the pool
-#: initializer).
-_STREAM_RING: WorkerRing | None = None
+#: The armed sketch-triage state (``triage="sketch"``) follows the same
+#: fork/spawn protocol as the classifier itself (fork inherits, spawn
+#: receives via the pool initializer).
 _STREAM_TRIAGE: "SketchTriageState | None" = None
 
 #: The save/restore registry: every mutable module global a pool
@@ -109,7 +105,6 @@ _STREAM_GLOBALS = (
     "_STREAM_CLASSIFIER",
     "_STREAM_TABLE",
     "_STREAM_INJECTOR",
-    "_STREAM_RING",
     "_STREAM_TRIAGE",
 )
 
@@ -183,7 +178,6 @@ def _stream_init(
     classifier: "SpoofingClassifier | None",
     injector: FaultInjector | None,
     tracing: bool = False,
-    ring_spec: RingSpec | None = None,
     triage: "SketchTriageState | None" = None,
 ) -> None:
     """Pool initializer: adopt pickled state (spawn start only).
@@ -191,28 +185,18 @@ def _stream_init(
     ``tracing`` re-arms the worker's ambient tracer under spawn, where
     the parent's enabled flag is not inherited the way fork inherits
     it; fork pools pass ``False`` (the flag is already in the globals
-    the child inherited). ``ring_spec`` is the shared-memory transport
-    geometry — attached here under *both* start methods, because a
-    :class:`~repro.core.shmring.WorkerRing` holds an mmap that must be
-    opened in the child, never inherited. ``triage`` arms the sketch
-    path under spawn (fork inherits the parent's global).
+    the child inherited). ``triage`` arms the sketch path under spawn
+    (fork inherits the parent's global).
     """
-    global _STREAM_CLASSIFIER, _STREAM_INJECTOR, _STREAM_RING, _STREAM_TRIAGE
+    global _STREAM_CLASSIFIER, _STREAM_INJECTOR, _STREAM_TRIAGE
     if classifier is not None:
         _STREAM_CLASSIFIER = classifier
     if injector is not None:
         _STREAM_INJECTOR = injector
-    if ring_spec is not None:
-        _STREAM_RING = WorkerRing.attach(ring_spec)
     if triage is not None:
         _STREAM_TRIAGE = triage
     if tracing:
         enable_tracing()
-
-
-def _inject(chunk_index: int, attempt: int) -> None:
-    if _STREAM_INJECTOR is not None:
-        _STREAM_INJECTOR(chunk_index, attempt, True)
 
 
 def _summarize(
@@ -236,65 +220,28 @@ def _summarize(
     )
 
 
-def _classify_and_summarize(
-    chunk: FlowTable, keep_labels: bool
+def _stream_worker(
+    payload: tuple[Any, bool, int, int]
 ) -> "ChunkSummary | TriageDigest":
-    """Worker-side classify of one chunk (see :func:`_summarize`).
+    """Classify one chunk in a pool worker.
 
-    When a triage state is armed the chunk is digested through the
-    sketches instead — the exact matrix engine is never touched.
+    ``job`` is either a ``(start, stop)`` row range of the
+    fork-inherited table or a pickled :class:`FlowTable` chunk. When a
+    triage state is armed the chunk is digested through the sketches
+    instead — the exact matrix engine is never touched.
     """
+    job, keep_labels, chunk_index, attempt = payload
     assert _STREAM_CLASSIFIER is not None
+    if _STREAM_INJECTOR is not None:
+        _STREAM_INJECTOR(chunk_index, attempt, True)
+    if isinstance(job, FlowTable):
+        chunk = job
+    else:
+        assert _STREAM_TABLE is not None
+        chunk = _STREAM_TABLE.select(slice(*job))
     if _STREAM_TRIAGE is not None:
         return _STREAM_TRIAGE.digest(chunk, _STREAM_CLASSIFIER._rib)
     return _summarize(_STREAM_CLASSIFIER, chunk, keep_labels)
-
-
-def _stream_worker(
-    payload: tuple[FlowTable, bool, int, int]
-) -> "ChunkSummary | TriageDigest":
-    """Classify one pickled chunk (spawn pools / explicit chunk iterables)."""
-    chunk, keep_labels, chunk_index, attempt = payload
-    assert _STREAM_CLASSIFIER is not None
-    _inject(chunk_index, attempt)
-    return _classify_and_summarize(chunk, keep_labels)
-
-
-def _stream_worker_range(
-    payload: tuple[int, int, bool, int, int]
-) -> "ChunkSummary | TriageDigest":
-    """Classify rows [start, stop) of the fork-inherited table."""
-    start, stop, keep_labels, chunk_index, attempt = payload
-    assert _STREAM_CLASSIFIER is not None and _STREAM_TABLE is not None
-    _inject(chunk_index, attempt)
-    chunk = _STREAM_TABLE.select(slice(start, stop))
-    return _classify_and_summarize(chunk, keep_labels)
-
-
-def _stream_worker_slot(
-    payload: tuple[int | None, int, int, FlowTable | None, bool, int, int]
-) -> "ChunkSummary | TriageDigest":
-    """Gather one chunk from the shared-memory ring and classify it.
-
-    ``slot is None`` is the oversize-chunk escape hatch: a chunk too
-    large for a ring slot travels pickled in the payload instead
-    (counter ``shm.fallback_chunks``). The gather target is staged
-    *before* the fault hook runs so a planned ``"slot_corrupt"`` fault
-    damages exactly the slot about to be read.
-    """
-    slot, generation, n_rows, fallback, keep_labels, chunk_index, attempt = (
-        payload
-    )
-    assert _STREAM_CLASSIFIER is not None
-    if slot is None:
-        assert fallback is not None
-        _inject(chunk_index, attempt)
-        return _classify_and_summarize(fallback, keep_labels)
-    assert _STREAM_RING is not None
-    stage_read(_STREAM_RING, slot)
-    _inject(chunk_index, attempt)
-    chunk = _STREAM_RING.read(slot, generation, n_rows, chunk_index)
-    return _classify_and_summarize(chunk, keep_labels)
 
 
 @dataclass(slots=True)
@@ -306,7 +253,6 @@ class _InFlight:
     attempt: int
     result: object  # multiprocessing AsyncResult
     deadline: float | None
-    slot: int | None = None  # ring slot carrying the chunk (shm transport)
 
 
 class SpoofingClassifier:
@@ -462,7 +408,6 @@ class SpoofingClassifier:
         chunk_rows: int | None = None,
         policy: FailurePolicy | str | None = None,
         fault_injector: FaultInjector | None = None,
-        transport: str = "pickle",
         triage: str | None = None,
         triage_members: "np.ndarray | list[int] | None" = None,
     ) -> StreamClassificationResult:
@@ -492,25 +437,16 @@ class SpoofingClassifier:
         policy degrades. ``fault_injector`` is the deterministic
         testing seam (:mod:`repro.testing.faults`).
 
-        ``transport="shm"`` replaces the pickle-per-chunk pool payload
-        with a shared-memory ring (:mod:`repro.core.shmring`): the
-        parent packs each chunk into a slot, workers gather zero-copy
-        views, and only a six-integer descriptor crosses the pipe.
-        Results are bit-equal to the pickle transport under both fork
-        and spawn. ``triage="sketch"`` swaps the exact matrix engine
-        for the constant-memory sketch triage
-        (:mod:`repro.sketch`) — the result's exact per-approach
-        counters stay empty and ``result.triage`` carries the
+        ``triage="sketch"`` swaps the exact matrix engine for the
+        constant-memory sketch triage (:mod:`repro.sketch`) — the
+        result's exact per-approach counters stay empty and
+        ``result.triage`` carries the
         :class:`~repro.sketch.triage.SketchTriageResult` instead;
         ``triage_members`` overrides the member universe the
         signatures are armed for (defaults to the table's distinct
         members, falling back to the RIB's observed AS universe for
         chunk iterables).
         """
-        if transport not in ("pickle", "shm"):
-            raise ValueError(
-                f"unknown transport {transport!r}; expected 'pickle' or 'shm'"
-            )
         if triage not in (None, "sketch"):
             raise ValueError(
                 f"unknown triage {triage!r}; expected None or 'sketch'"
@@ -598,7 +534,6 @@ class SpoofingClassifier:
                 policy=policy,
                 injector=fault_injector,
                 failures=merged.failures,
-                transport=transport,
                 triage_state=triage_state,
             ):
                 absorb(summary)
@@ -676,7 +611,6 @@ class SpoofingClassifier:
         policy: FailurePolicy,
         injector: FaultInjector | None,
         failures: FailureLog,
-        transport: str,
         triage_state: "SketchTriageState | None",
     ) -> "Iterator[ChunkSummary | TriageDigest]":
         """Fan chunks out over a supervised pool, yield summaries in order.
@@ -699,12 +633,9 @@ class SpoofingClassifier:
         chunk is submitted. Chunks resubmitted after a worker death
         rerun against the rebuilt pool's (current) state.
 
-        Under the shm transport slot ownership stays strictly here in
-        the parent: a chunk keeps its ring slot across retries (the
-        header is repaired from the authoritative copy, the columns
-        were written once), and the slot is released only when the
-        chunk resolves — success, degraded fallback, or drop — so a
-        reclaimed worker can never strand a slot.
+        A whole table under fork travels as ``(start, stop)`` row
+        ranges of the copy-on-write table; everything else (chunk
+        iterables, spawn pools) travels as pickled chunks.
         """
         # Materialise the finalized RIB before the fork so workers
         # share it copy-on-write instead of each rebuilding it.
@@ -720,20 +651,7 @@ class SpoofingClassifier:
             fork = method == "fork"
         ctx = multiprocessing.get_context(method)
         window = max(2, 2 * n_workers)
-        ring: FlowRing | None = None
-        if transport == "shm":
-            # Slots strictly exceed the in-flight window so acquire()
-            # is brief backpressure, never a deadlock. Triage digests
-            # read only (src, member), so its ring carries just those
-            # two columns — 16 bytes per row instead of the full table.
-            ring = FlowRing.create(
-                slots=window + 2,
-                capacity=chunk_rows,
-                columns=("src", "member") if triage_state is not None else None,
-            )
-        use_ranges = fork and table is not None and ring is None
-        if use_ranges:
-            assert table is not None
+        if fork and table is not None:
             n = len(table)
             jobs_iter: Iterator[object] = (
                 (start, min(start + chunk_rows, n))
@@ -750,15 +668,12 @@ class SpoofingClassifier:
             # per stream: a rebuilt spawn pool must pickle the
             # classifier's *current* (possibly delta-patched) state,
             # and the tracer enabled flag must reflect the tracer as it
-            # is now. The ring is attached in the initializer under
-            # both start methods (a worker must open its own mapping).
-            ring_spec = ring.spec if ring is not None else None
+            # is now.
             if fork:
-                initargs: tuple = (None, None, False, ring_spec, None)
+                initargs: tuple = (None, None, False, None)
             else:
                 initargs = (
-                    self, injector, current_tracer().enabled, ring_spec,
-                    triage_state,
+                    self, injector, current_tracer().enabled, triage_state
                 )
             return ctx.Pool(
                 processes=n_workers,
@@ -766,56 +681,22 @@ class SpoofingClassifier:
                 initargs=initargs,
             )
 
-        def submit(
-            pool: Pool,
-            index: int,
-            job: Any,
-            attempt: int,
-            slot: int | None = None,
-        ) -> _InFlight:
-            if ring is not None and len(job) <= ring.capacity:
-                if slot is None:
-                    slot = ring.acquire(timeout=60.0)
-                    generation = ring.write(slot, job, index)
-                else:
-                    # Retry: columns are already in the slot; repair
-                    # the header (a corrupt fault may have hit it) and
-                    # resend the same descriptor.
-                    ring.refresh_header(slot)
-                    generation = ring.generation(slot)
-                payload: tuple = (
-                    slot, generation, len(job), None, keep_labels, index,
-                    attempt,
-                )
-                result = pool.apply_async(_stream_worker_slot, (payload,))
-            elif ring is not None:
-                current_metrics().counter("shm.fallback_chunks").inc()
-                payload = (None, 0, 0, job, keep_labels, index, attempt)
-                result = pool.apply_async(_stream_worker_slot, (payload,))
-            elif use_ranges:
-                start, stop = job
-                payload = (start, stop, keep_labels, index, attempt)
-                result = pool.apply_async(_stream_worker_range, (payload,))
-            else:
-                payload = (job, keep_labels, index, attempt)
-                result = pool.apply_async(_stream_worker, (payload,))
+        def submit(pool: Pool, index: int, job: Any, attempt: int) -> _InFlight:
+            result = pool.apply_async(
+                _stream_worker, ((job, keep_labels, index, attempt),)
+            )
             deadline = (
                 None
                 if policy.chunk_timeout is None
                 else time.monotonic() + policy.chunk_timeout
             )
-            return _InFlight(index, job, attempt, result, deadline, slot)
-
-        def release_slot(entry: _InFlight) -> None:
-            if ring is not None and entry.slot is not None:
-                ring.release(entry.slot)
+            return _InFlight(index, job, attempt, result, deadline)
 
         def inline_chunk(job: Any) -> FlowTable:
-            if use_ranges:
-                assert table is not None
-                start, stop = job
-                return table.select(slice(start, stop))
-            return job
+            if isinstance(job, FlowTable):
+                return job
+            assert table is not None
+            return table.select(slice(*job))
 
         def resolve_failure(
             pool: Pool, failed: _InFlight, exc: BaseException
@@ -841,10 +722,7 @@ class SpoofingClassifier:
                 failures.record_retry(failed.index, failed.attempt, reason)
                 return (
                     "resubmitted",
-                    submit(
-                        pool, failed.index, failed.job, failed.attempt + 1,
-                        slot=failed.slot,
-                    ),
+                    submit(pool, failed.index, failed.job, failed.attempt + 1),
                 )
             # Retry budget exhausted (retry) or first failure (degrade):
             # reclassify in the parent process.
@@ -857,7 +735,6 @@ class SpoofingClassifier:
                 )
             except Exception as inline_exc:
                 if policy.mode == "degrade":
-                    release_slot(failed)
                     failures.record_dropped(
                         failed.index,
                         len(chunk),
@@ -872,7 +749,6 @@ class SpoofingClassifier:
                     chunk_index=failed.index,
                     attempts=next_attempt,
                 ) from inline_exc
-            release_slot(failed)
             failures.record_degraded(failed.index, failed.attempt, reason)
             return ("summary", summary)
 
@@ -952,10 +828,7 @@ class SpoofingClassifier:
                     )
                     for entry in collateral:
                         inflight.append(
-                            submit(
-                                pool, entry.index, entry.job, entry.attempt,
-                                slot=entry.slot,
-                            )
+                            submit(pool, entry.index, entry.job, entry.attempt)
                         )
                     if outcome == "resubmitted":
                         inflight.appendleft(value)
@@ -972,15 +845,13 @@ class SpoofingClassifier:
                     elif outcome == "summary":
                         yield value
                     continue
-                release_slot(inflight.popleft())
+                inflight.popleft()
                 yield summary
         finally:
             if pool is not None:
                 pool.terminate()
                 pool.join()
             globals().update(previous)
-            if ring is not None:
-                ring.destroy()
 
 
 def default_stream_workers() -> int:

@@ -10,9 +10,6 @@ operators can route on fields instead of parsing strings:
   working.
 * :class:`ClassificationError` — a classification chunk failed
   in-process.
-* :class:`TransportError` — a shared-memory ring slot failed its
-  header integrity check during a worker gather (stale, torn, or
-  deliberately corrupted); retried like any worker failure.
 * :class:`WorkerError` — a pool worker crashed, hung past its timeout,
   or exhausted its retry budget while classifying a chunk.
 * :class:`DurabilityError` — the durable watch pipeline could not
@@ -99,27 +96,6 @@ class ClassificationError(ReproError):
     @property
     def chunk_index(self) -> int | None:
         return self.context.get("chunk_index")
-
-
-class TransportError(ClassificationError):
-    """A shared-memory chunk transport integrity check failed.
-
-    Raised worker-side when a ring slot's header (generation tag, row
-    count, chunk index) disagrees with the task payload — a stale
-    slot, a torn write, or injected corruption. The supervision path
-    treats it like any worker failure: the parent repairs the header
-    from its authoritative copy and retries under the active
-    :class:`FailurePolicy`.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        chunk_index: int | None = None,
-        **context: object,
-    ) -> None:
-        super().__init__(message, chunk_index=chunk_index, **context)
 
 
 class WorkerError(ClassificationError):

@@ -52,11 +52,16 @@ def file_digest(path: str | pathlib.Path) -> dict[str, Any]:
 def current_git_sha(
     cwd: str | pathlib.Path | None = None,
 ) -> str | None:
-    """The repository HEAD SHA, or ``None`` outside a work tree."""
+    """The repository HEAD SHA, or ``None`` outside a work tree.
+
+    ``cwd`` defaults to this package's own directory, so a run started
+    from outside the work tree still records the revision of the code
+    it ran.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
+            cwd=cwd if cwd is not None else pathlib.Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,

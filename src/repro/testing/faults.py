@@ -15,12 +15,6 @@ test provokes is reproducible bit for bit:
 * ``"corrupt"`` — raise :class:`InjectedCorruption`; with
   ``scope="any"`` it also fires in the in-process fallback, modelling
   a chunk whose payload is unrecoverably bad.
-* ``"slot_corrupt"`` — flip bits in the shared-memory ring slot the
-  worker is about to gather (``transport="shm"`` only; a no-op under
-  the pickle transport). The next read fails its header integrity
-  check with a :class:`~repro.errors.TransportError`; the parent
-  repairs the header from its authoritative copy and retries, so this
-  is transient by construction.
 
 ``attempt=0`` matches every attempt (persistent faults such as
 corrupted payloads); ``attempt=n`` fires only on the n-th attempt
@@ -68,7 +62,7 @@ __all__ = [
 #: Environment variable naming the fault-event log file.
 FAULT_LOG_ENV = "REPRO_FAULT_LOG"
 
-_KINDS = ("crash", "hang", "die", "corrupt", "slot_corrupt")
+_KINDS = ("crash", "hang", "die", "corrupt")
 _SCOPES = ("worker", "any")
 
 
@@ -130,14 +124,7 @@ class FaultPlan:
                 raise InjectedCorruption(
                     f"injected corrupt payload at chunk {chunk_index}"
                 )
-            if fault.kind == "slot_corrupt":
-                # Imported lazily: the staged-read seam lives next to
-                # the ring itself, and plans that never fire this kind
-                # must not pull the transport in.
-                from repro.core import shmring
-
-                shmring.corrupt_staged_header()
-            elif fault.kind == "hang":
+            if fault.kind == "hang":
                 time.sleep(fault.hang_seconds)
             elif fault.kind == "die":  # pragma: no cover - kills the process
                 os._exit(23)

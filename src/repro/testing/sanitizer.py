@@ -25,10 +25,9 @@ edge the static model cannot see) still gets caught in CI:
   name, or shared without any declaration, is a violation.
 
 * :class:`ProtocolSanitizer` asserts the RL3xx resource protocols —
-  shm segment create/attach/release pairing (no double release, no
-  leak at disarm), checkpoint-never-outruns-the-log ordering against
-  every live :class:`~repro.stream.durable.wal.WalWriter`, and
-  no submit to a drained pool — at runtime. It mirrors the machines
+  checkpoint-never-outruns-the-log ordering against every live
+  :class:`~repro.stream.durable.wal.WalWriter`, and no submit to a
+  drained pool — at runtime. It mirrors the machines
   declared in ``tools/reprolint/protocols.py`` *by name* (``src``
   must not import ``tools``); ``tests/test_sanitizer.py`` keeps the
   two tables aligned.
@@ -511,10 +510,6 @@ class ProtocolSanitizer:
     (matched by :attr:`PROTOCOL_NAMES`; ``src`` must not import
     ``tools``):
 
-    * **shm-segment** — wraps the :mod:`repro.util.shmseg` lifecycle
-      helpers (in the module *and* every from-importer): a segment
-      released twice is a violation; a segment still held when the
-      sanitizer disarms is a leak.
     * **wal-commit** — wraps
       :meth:`~repro.stream.durable.checkpoint.CheckpointStore.save`:
       a checkpoint claiming ``last_seq`` that any live
@@ -528,13 +523,11 @@ class ProtocolSanitizer:
 
     #: Protocol machines this monitor mirrors, by the names declared
     #: in ``tools/reprolint/protocols.py`` (parity-tested).
-    PROTOCOL_NAMES = ("shm-segment", "wal-commit", "supervised-pool")
+    PROTOCOL_NAMES = ("wal-commit", "supervised-pool")
 
     def __init__(self) -> None:
         self.violations: list[dict[str, Any]] = []
         self._guard = threading.Lock()
-        #: id(segment) → lifecycle record for segments seen alive.
-        self._segments: dict[int, dict[str, Any]] = {}
         self._writers: "weakref.WeakSet[Any]" = weakref.WeakSet()
         #: (owner, attribute, original) undone in reverse at uninstall.
         self._patches: list[tuple[Any, str, Any]] = []
@@ -546,49 +539,16 @@ class ProtocolSanitizer:
         setattr(owner, name, replacement)
 
     def install(self) -> None:
-        """Wrap the shm helpers, WalWriter/CheckpointStore, and the
-        pool submit surface (idempotent)."""
+        """Wrap WalWriter/CheckpointStore and the pool submit surface
+        (idempotent)."""
         if self._patches:
             return
         import multiprocessing.pool as mp_pool
 
-        import repro.util as util_pkg
-        from repro.core import shmring
         from repro.stream.durable import checkpoint as checkpoint_mod
         from repro.stream.durable import wal as wal_mod
-        from repro.util import shmseg
 
         sanitizer = self
-        real_create = shmseg.create_segment
-        real_attach = shmseg.attach_segment
-        real_release = shmseg.release_segment
-
-        def create_segment(size: int, *, purpose: str = "") -> Any:
-            segment = real_create(size, purpose=purpose)
-            sanitizer._acquired(segment, "create", purpose)
-            return segment
-
-        def attach_segment(name: str) -> Any:
-            segment = real_attach(name)
-            sanitizer._acquired(segment, "attach", "")
-            return segment
-
-        def release_segment(segment: Any, *, unlink: bool) -> None:
-            try:
-                real_release(segment, unlink=unlink)
-            finally:
-                # Even a failing release consumed the segment — the
-                # caller cannot release harder than calling release.
-                sanitizer._released(segment)
-
-        # Patch the defining module and every module-level from-import
-        # (from-imports bind the function object, so patching shmseg
-        # alone would miss them).
-        for owner in (shmseg, util_pkg, shmring):
-            self._patch(owner, "create_segment", create_segment)
-            self._patch(owner, "attach_segment", attach_segment)
-            self._patch(owner, "release_segment", release_segment)
-
         real_writer_init = wal_mod.WalWriter.__init__
 
         def writer_init(writer: Any, *args: Any, **kwargs: Any) -> None:
@@ -630,45 +590,10 @@ class ProtocolSanitizer:
             self._patch(mp_pool.Pool, method, submit)
 
     def uninstall(self) -> None:
-        """Restore every patched binding and flag leaked segments."""
+        """Restore every patched binding."""
         for owner, name, original in reversed(self._patches):
             setattr(owner, name, original)
         self._patches.clear()
-        with self._guard:
-            for record in self._segments.values():
-                if record["state"] == "held":
-                    self._violate_locked(
-                        "shm-segment",
-                        kind="segment-leaked",
-                        segment=record["name"],
-                        acquired=record["acquired"],
-                        purpose=record["purpose"],
-                    )
-            self._segments.clear()
-
-    # -- the shm machine ----------------------------------------------
-
-    def _acquired(self, segment: Any, how: str, purpose: str) -> None:
-        with self._guard:
-            self._segments[id(segment)] = {
-                "name": segment.name,
-                "acquired": how,
-                "purpose": purpose,
-                "state": "held",
-            }
-
-    def _released(self, segment: Any) -> None:
-        with self._guard:
-            record = self._segments.get(id(segment))
-            if record is None:
-                return  # acquired before the sanitizer armed
-            if record["state"] == "released":
-                self._violate_locked(
-                    "shm-segment",
-                    kind="segment-double-release",
-                    segment=record["name"],
-                )
-            record["state"] = "released"
 
     # -- the wal-commit machine ---------------------------------------
 
@@ -694,25 +619,19 @@ class ProtocolSanitizer:
 
     def _violate(self, protocol: str, **details: Any) -> None:
         with self._guard:
-            self._violate_locked(protocol, **details)
-
-    def _violate_locked(self, protocol: str, **details: Any) -> None:
-        self.violations.append(
-            {
-                "protocol": protocol,
-                "thread": threading.current_thread().name,
-                **details,
-            }
-        )
+            self.violations.append(
+                {
+                    "protocol": protocol,
+                    "thread": threading.current_thread().name,
+                    **details,
+                }
+            )
 
     def protocol_json(self) -> dict[str, Any]:
         """Protocol states and violations, for the CI artifact."""
         with self._guard:
             return {
                 "protocols": list(self.PROTOCOL_NAMES),
-                "segments": [
-                    dict(record) for record in self._segments.values()
-                ],
                 "violations": list(self.violations),
             }
 

@@ -1,5 +1,4 @@
-"""Small shared utilities (index mappings, time constants, atomic IO,
-audited shared memory)."""
+"""Small shared utilities (index mappings, time constants, atomic IO)."""
 
 from repro.util.atomicio import (
     atomic_write_bytes,
@@ -7,15 +6,6 @@ from repro.util.atomicio import (
     fsync_directory,
 )
 from repro.util.indexing import AsnIndexer
-from repro.util.shmseg import (
-    attach_segment,
-    cleanup_leaked,
-    create_segment,
-    inject_unlink_leak,
-    leaked_segments,
-    live_segments,
-    release_segment,
-)
 from repro.util.timeconst import DAY, HOUR, MEASUREMENT_WEEKS, WEEK
 
 __all__ = [
@@ -26,12 +16,5 @@ __all__ = [
     "WEEK",
     "atomic_write_bytes",
     "atomic_write_text",
-    "attach_segment",
-    "cleanup_leaked",
-    "create_segment",
     "fsync_directory",
-    "inject_unlink_leak",
-    "leaked_segments",
-    "live_segments",
-    "release_segment",
 ]

@@ -297,3 +297,79 @@ class TestFlowChunking:
         table = flow_table([("60.0.5.5", 100)])
         with pytest.raises(ValueError):
             list(table.iter_chunks(0))
+
+
+#: (src, member) choices spanning every class under the toy RIB.
+TRIAGE_CHOICES = (
+    ("60.0.5.5", 100),
+    ("20.0.0.9", 200),
+    ("60.0.5.5", 200),  # invalid under full
+    ("9.9.9.9", 100),  # unrouted
+    ("10.1.2.3", 100),  # bogon
+    ("60.0.7.7", 10),
+    ("20.0.1.1", 9999),  # unknown member → invalid
+)
+
+
+def triage_table(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return flow_table(
+        [TRIAGE_CHOICES[i] for i in rng.integers(0, len(TRIAGE_CHOICES), n)]
+    )
+
+
+class TestSketchTriageStream:
+    """``triage="sketch"`` against the exact engine, over both payload
+    paths: a whole table (row ranges under fork) and a chunk iterable
+    (pickled chunks)."""
+
+    @pytest.mark.parametrize("source", ["table", "chunks"])
+    def test_triage_bounds_match_exact_engine(self, toy, source):
+        _rib, classifier = toy
+        table = triage_table(600)
+        exact = classifier.classify(table)
+        exact_counts = {
+            cls.name.lower(): int(
+                (exact.label_vector("naive") == int(cls)).sum()
+            )
+            for cls in TrafficClass
+        }
+
+        def flows():
+            return table if source == "table" else table.iter_chunks(128)
+
+        serial = classifier.classify_stream(
+            flows(), chunk_rows=128, triage="sketch"
+        )
+        parallel = classifier.classify_stream(
+            flows(), n_workers=2, chunk_rows=128, triage="sketch"
+        )
+        for stream in (serial, parallel):
+            triage = stream.triage
+            assert triage is not None
+            counts = triage.class_counts()
+            # Bogon/unrouted run exactly; the signature makes invalid
+            # a lower bound and valid an upper bound.
+            assert counts["bogon"] == exact_counts["bogon"]
+            assert counts["unrouted"] == exact_counts["unrouted"]
+            assert counts["invalid"] <= exact_counts["invalid"]
+            assert counts["valid"] >= exact_counts["valid"]
+            assert triage.n_flows == 600
+            assert stream.n_chunks == 5
+            assert "sketch triage" in triage.render()
+        # Serial and parallel fold the same digests: identical totals.
+        assert (
+            serial.triage.class_counts() == parallel.triage.class_counts()
+        )
+
+    def test_triage_rejects_keep_labels(self, toy):
+        _rib, classifier = toy
+        with pytest.raises(ValueError):
+            classifier.classify_stream(
+                triage_table(8), triage="sketch", keep_labels=True
+            )
+
+    def test_triage_name_validated(self, toy):
+        _rib, classifier = toy
+        with pytest.raises(ValueError):
+            classifier.classify_stream(triage_table(8), triage="hyperloglog")

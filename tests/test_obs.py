@@ -28,6 +28,7 @@ from repro.obs import (
     SpanRecord,
     SpanTotal,
     Tracer,
+    current_git_sha,
     current_metrics,
     current_tracer,
     enable_tracing,
@@ -233,6 +234,31 @@ class TestManifest:
         assert str(manifest_path_for("out/table1.txt")).endswith(
             "table1.manifest.json"
         )
+
+    def test_git_sha_independent_of_process_cwd(self, tmp_path, monkeypatch):
+        """A run started outside the work tree still names the revision
+        of the code it ran: the lookup runs in the package's directory,
+        not the process's cwd."""
+        import pathlib
+        import subprocess
+
+        import repro.obs.manifest as manifest_mod
+
+        package_dir = pathlib.Path(manifest_mod.__file__).parent
+        try:
+            probe = subprocess.run(
+                ["git", "rev-parse", "HEAD"],
+                cwd=package_dir,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("git is not available")
+        if probe.returncode != 0:
+            pytest.skip("the package is not inside a git work tree")
+        monkeypatch.chdir(tmp_path)
+        assert current_git_sha() == probe.stdout.strip()
 
     def test_render_mentions_key_fields(self, tmp_path):
         manifest = RunManifest.create("study", seed=1, preset="tiny")

@@ -557,78 +557,6 @@ def test_rl009_quiet_outside_durable_dirs(tmp_path):
     assert active(findings) == []
 
 
-# ---------------------------------------------------------------- RL010
-
-
-SHM_FIXTURE = """\
-    from multiprocessing import shared_memory
-
-    def grab():
-        return shared_memory.SharedMemory(create=True, size=64)
-    """
-
-
-def test_rl010_fires_on_raw_shared_memory_in_src(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {"src/repro/util/fast.py": SHM_FIXTURE},
-        select={"RL010"},
-    )
-    (finding,) = active(findings)
-    assert finding.rule == "RL010"
-    assert finding.path == "src/repro/util/fast.py"
-    assert finding.line == 4
-    assert "shmseg" in finding.message
-
-
-def test_rl010_fires_on_direct_name_import(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/repro/core/ring.py": """\
-            from multiprocessing.shared_memory import SharedMemory
-
-            def attach(name):
-                return SharedMemory(name=name, create=False)
-            """,
-        },
-        select={"RL010"},
-    )
-    (finding,) = active(findings)
-    assert finding.rule == "RL010"
-
-
-def test_rl010_quiet_in_audited_helper_and_outside_src(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/repro/util/shmseg.py": SHM_FIXTURE,
-            "tools/probe.py": SHM_FIXTURE,
-        },
-        inputs=("src", "tools"),
-        select={"RL010"},
-    )
-    assert active(findings) == []
-
-
-def test_rl010_inline_disable_records_suppression(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/repro/util/fast.py": """\
-            from multiprocessing import shared_memory
-
-            def grab():
-                return shared_memory.SharedMemory(create=True, size=64)  # reprolint: disable=RL010
-            """,
-        },
-        select={"RL010"},
-    )
-    (finding,) = findings
-    assert finding.suppressed == "inline"
-    assert not finding.active
-
-
 # ---------------------------------------------------------------- RL101
 
 
@@ -898,14 +826,12 @@ def test_rule_inventory_is_complete():
         "RL007",
         "RL008",
         "RL009",
-        "RL010",
         "RL101",
         "RL102",
         "RL201",
         "RL202",
         "RL203",
         "RL204",
-        "RL301",
         "RL302",
         "RL303",
         "RL304",
@@ -1291,25 +1217,6 @@ def test_rl204_quiet_outside_durable_scope(tmp_path):
 # --------------------------------------------- RL3xx: dataflow rules
 
 
-SHM_LEAK = """\
-    from repro.util.shmseg import create_segment, release_segment
-
-    def build(spec, views):
-        segment = create_segment(spec)
-        payload = views(spec)
-        release_segment(segment)
-        return payload
-    """
-
-SHM_DOUBLE_RELEASE = """\
-    from repro.util.shmseg import create_segment, release_segment
-
-    def build(spec):
-        segment = create_segment(spec)
-        release_segment(segment)
-        release_segment(segment)
-    """
-
 COMMIT_NO_FSYNC = """\
     import os
 
@@ -1322,7 +1229,23 @@ POOL_STALE = """\
 
     def drive(worker, chunks):
         pool = make_pool(4)
-        pool.imap(worker, chunks)
+        try:
+            pool.imap(worker, chunks)
+        finally:
+            pool.terminate()
+            pool.join()
+    """
+
+POOL_LEAK = """\
+    from pools import make_pool
+
+    def drive(worker, chunks):
+        pool = make_pool(4)
+        armed_version = 1
+        results = pool.map(worker, chunks)
+        pool.terminate()
+        pool.join()
+        return results
     """
 
 DTYPE_ROUNDTRIP = """\
@@ -1345,7 +1268,6 @@ SHAPE_MISMATCH = """\
 #: rule → (fixture files, the line that hosts the finding) — shared by
 #: the fires, pragma and baseline round-trip tests below.
 RL3XX_FIRES = {
-    "RL301": ({"src/app.py": SHM_LEAK}, "segment = create_segment(spec)"),
     "RL302": (
         {"src/repro/stream/durable/writer.py": COMMIT_NO_FSYNC},
         "os.replace(tmp, path)",
@@ -1360,94 +1282,6 @@ RL3XX_FIRES = {
         "return np.concatenate([a, b], axis=0)",
     ),
 }
-
-
-def test_rl301_fires_on_leak_along_exception_path(tmp_path):
-    findings, _ = lint(tmp_path, {"src/app.py": SHM_LEAK}, select=["RL301"])
-    assert [f.rule for f in active(findings)] == ["RL301"]
-    assert "leak on an exception path" in active(findings)[0].message
-
-
-def test_rl301_fires_on_double_release(tmp_path):
-    findings, _ = lint(
-        tmp_path, {"src/app.py": SHM_DOUBLE_RELEASE}, select=["RL301"]
-    )
-    assert [f.rule for f in active(findings)] == ["RL301"]
-    assert "released twice" in active(findings)[0].message
-
-
-def test_rl301_fires_on_use_after_release(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from repro.util.shmseg import create_segment, release_segment
-
-            def build(spec):
-                segment = create_segment(spec)
-                release_segment(segment)
-                return segment.name
-            """
-        },
-        select=["RL301"],
-    )
-    assert [f.rule for f in active(findings)] == ["RL301"]
-    assert "used after release" in active(findings)[0].message
-
-
-def test_rl301_quiet_with_exception_path_release(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from repro.util.shmseg import create_segment, release_segment
-
-            def build(spec, views):
-                segment = create_segment(spec)
-                try:
-                    payload = views(spec)
-                except BaseException:
-                    release_segment(segment)
-                    raise
-                release_segment(segment)
-                return payload
-            """
-        },
-        select=["RL301"],
-    )
-    assert active(findings) == []
-
-
-def test_rl301_quiet_when_helper_releases_interprocedurally(tmp_path):
-    """``cleanup(segment)`` counts as a release because the program
-    index proves cleanup() releases its first parameter."""
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/helpers.py": """\
-            from repro.util.shmseg import release_segment
-
-            def cleanup(segment, unlink=True):
-                release_segment(segment, unlink=unlink)
-            """,
-            "src/app.py": """\
-            from helpers import cleanup
-            from repro.util.shmseg import create_segment
-
-            def build(spec, views):
-                segment = create_segment(spec)
-                try:
-                    payload = views(spec)
-                except BaseException:
-                    cleanup(segment)
-                    raise
-                cleanup(segment)
-                return payload
-            """,
-        },
-        select=["RL301"],
-    )
-    assert active(findings) == []
 
 
 def test_rl302_fires_on_partially_synced_branch(tmp_path):
@@ -1522,10 +1356,13 @@ def test_rl303_fires_on_submit_to_drained_pool(tmp_path):
             def drive(worker, chunks):
                 pool = make_pool(4)
                 armed_version = 1
-                pool.imap(worker, chunks)
-                pool.terminate()
-                pool.join()
-                pool.imap(worker, chunks)
+                try:
+                    pool.imap(worker, chunks)
+                    pool.terminate()
+                    pool.join()
+                    pool.imap(worker, chunks)
+                finally:
+                    pool.terminate()
             """
         },
         select=["RL303"],
@@ -1550,21 +1387,172 @@ def test_rl303_quiet_with_version_rearm(tmp_path):
             def drive(worker, chunks):
                 pool = make_pool(4)
                 armed_version = 1
-                pool.imap(worker, chunks)
-                pool.terminate()
-                pool.join()
+                try:
+                    pool.imap(worker, chunks)
+                finally:
+                    pool.terminate()
+                    pool.join()
 
             def staged(worker, chunks, version):
                 armed_version = version
                 pool = make_pool(4)
-                pool.imap(worker, chunks)
-                pool.terminate()
-                pool.join()
+                try:
+                    pool.imap(worker, chunks)
+                finally:
+                    pool.terminate()
+                    pool.join()
             """
         },
         select=["RL303"],
     )
     assert active(findings) == []
+
+
+def test_rl303_fires_on_leak_along_exception_path(tmp_path):
+    findings, _ = lint(tmp_path, {"src/app.py": POOL_LEAK}, select=["RL303"])
+    assert [f.rule for f in active(findings)] == ["RL303"]
+    assert "exception path" in active(findings)[0].message
+    assert active(findings)[0].line == 4  # the factory call
+
+
+def test_rl303_fires_on_join_of_running_pool(tmp_path):
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/app.py": """\
+            from pools import make_pool
+
+            def drive(worker, chunks):
+                pool = make_pool(4)
+                armed_version = 1
+                try:
+                    results = pool.map(worker, chunks)
+                    pool.join()
+                finally:
+                    pool.terminate()
+                return results
+            """
+        },
+        select=["RL303"],
+    )
+    assert [f.rule for f in active(findings)] == ["RL303"]
+    assert "join() on a running pool" in active(findings)[0].message
+
+
+def test_rl303_fires_on_use_after_drain(tmp_path):
+    """Handing a drained pool to a helper is a submit on its behalf."""
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/app.py": """\
+            from pools import make_pool, submit
+
+            def drive(worker, chunks):
+                pool = make_pool(4)
+                armed_version = 1
+                try:
+                    first = pool.map(worker, chunks)
+                finally:
+                    pool.terminate()
+                    pool.join()
+                return first, submit(pool, chunks)
+            """
+        },
+        select=["RL303"],
+    )
+    assert [f.rule for f in active(findings)] == ["RL303"]
+    assert "drained pool" in active(findings)[0].message
+
+
+def test_rl303_quiet_with_exception_path_drain(tmp_path):
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/app.py": """\
+            from pools import make_pool
+
+            def drive(worker, chunks):
+                pool = make_pool(4)
+                armed_version = 1
+                try:
+                    results = pool.map(worker, chunks)
+                except BaseException:
+                    pool.terminate()
+                    raise
+                pool.close()
+                pool.join()
+                return results
+            """
+        },
+        select=["RL303"],
+    )
+    assert active(findings) == []
+
+
+def test_rl303_quiet_on_none_guarded_finally(tmp_path):
+    """The supervisor's shape: the pool name starts as ``None`` and the
+    ``finally`` drains it only when set — the ``is not None`` false
+    edge holds no pool."""
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/app.py": """\
+            from pools import make_pool
+
+            def drive(worker, chunks):
+                pool = None
+                try:
+                    pool = make_pool(4)
+                    armed_version = 1
+                    return pool.map(worker, chunks)
+                finally:
+                    if pool is not None:
+                        pool.terminate()
+                        pool.join()
+            """
+        },
+        select=["RL303"],
+    )
+    assert active(findings) == []
+
+
+def test_rl303_quiet_when_helper_drains_interprocedurally(tmp_path):
+    """``shutdown(pool)`` counts as a drain because the program index
+    proves shutdown() terminates its first parameter."""
+    app = """\
+        from helpers import shutdown
+        from pools import make_pool
+
+        def drive(worker, chunks):
+            pool = make_pool(4)
+            armed_version = 1
+            try:
+                return pool.map(worker, chunks)
+            finally:
+                shutdown(pool)
+        """
+    draining = """\
+        def shutdown(pool):
+            pool.terminate()
+            pool.join()
+        """
+    findings, _ = lint(
+        tmp_path,
+        {"src/helpers.py": draining, "src/app.py": app},
+        select=["RL303"],
+    )
+    assert active(findings) == []
+    # A same-named helper that never drains proves nothing.
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/helpers.py": "def shutdown(pool):\n    return pool\n",
+            "src/app.py": app,
+        },
+        select=["RL303"],
+    )
+    assert [f.rule for f in active(findings)] == ["RL303"]
+    assert "exception path" in active(findings)[0].message
 
 
 def test_rl304_fires_on_float64_roundtrip_of_integer_data(tmp_path):
@@ -1716,15 +1704,15 @@ def test_protocol_digest_changes_the_cache_key(tmp_path, monkeypatch):
     cache_path = tmp_path / "cache.json"
     source = tmp_path / "src" / "app.py"
     source.parent.mkdir(parents=True)
-    source.write_text(textwrap.dedent(SHM_DOUBLE_RELEASE))
+    source.write_text(textwrap.dedent(POOL_STALE))
 
     run(
-        tmp_path, ["src"], select=frozenset({"RL301"}),
+        tmp_path, ["src"], select=frozenset({"RL303"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
     _, meta = run(
-        tmp_path, ["src"], select=frozenset({"RL301"}),
+        tmp_path, ["src"], select=frozenset({"RL303"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
@@ -1734,7 +1722,7 @@ def test_protocol_digest_changes_the_cache_key(tmp_path, monkeypatch):
         cache_mod, "protocols_digest", lambda: "edited-protocol-table"
     )
     _, meta = run(
-        tmp_path, ["src"], select=frozenset({"RL301"}),
+        tmp_path, ["src"], select=frozenset({"RL303"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )

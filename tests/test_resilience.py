@@ -9,6 +9,8 @@ corrupted file and report every bad line number exactly.
 
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -405,6 +407,84 @@ class TestSupervisedParallel:
             ).all(), name
 
 
+#: The child side of ``test_no_process_outlives_the_interpreter``: a
+#: whole table (row ranges) and a chunk iterable (pickled chunks), a
+#: ``retry`` run whose hung worker forces a pool rebuild, and a durable
+#: watch that is cut, recovered and resumed.
+_OUTLIVE_CHILD = """
+import multiprocessing.resource_tracker as resource_tracker
+import tempfile
+
+from repro.core import FailurePolicy
+from repro.experiments import WorldConfig, build_world
+from repro.stream import DurableWatch, OnlineValidState, flow_events, recover
+from repro.testing import FaultPlan, FaultSpec
+
+world = build_world(WorldConfig.tiny())
+classifier, flows = world.classifier, world.scenario.flows
+assert classifier.classify_stream(
+    flows, n_workers=2, chunk_rows=4096
+).n_flows == len(flows)
+assert classifier.classify_stream(
+    flows.iter_chunks(4096), n_workers=2
+).n_flows == len(flows)
+hung = classifier.classify_stream(
+    flows, n_workers=2, chunk_rows=4096,
+    policy=FailurePolicy(
+        mode="retry", max_retries=1, chunk_timeout=1.0, backoff_base=0.01
+    ),
+    fault_injector=FaultPlan((FaultSpec("hang", 1),)),
+)
+assert hung.failures.chunks_retried == 1 and hung.complete
+
+day = 86_400
+events = list(flow_events(flows, chunk_rows=2048, window_seconds=day))
+with tempfile.TemporaryDirectory() as directory:
+    def watch(state, resume=None):
+        return DurableWatch(
+            state, day, checkpoint_dir=directory, checkpoint_every=2,
+            n_workers=2, policy="fail_fast", resume=resume,
+        )
+
+    windows = watch(OnlineValidState(world.rib, world.approaches)).run(
+        iter(events)
+    )
+    for count, _window in enumerate(windows, 1):
+        if count == 5:
+            break
+    windows.close()
+    point = recover(directory)
+    assert point.checkpoint is not None
+    assert list(watch(point.checkpoint.state, point).run(iter(events)))
+
+# A private attribute, read on purpose: the tracker's pid is set when
+# the tracker process starts and the public API offers no other way to
+# ask whether it has.
+assert resource_tracker._resource_tracker._pid is None
+"""
+
+
+def _session_processes(session: int) -> list[str]:
+    """``/proc/<pid>/stat`` lines of live processes in ``session``.
+
+    Zombies are skipped: they have already exited and only wait for
+    their new parent to reap them.
+    """
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        fields = stat[stat.rindex(")") + 2:].split()
+        if fields[0] != "Z" and int(fields[3]) == session:
+            found.append(stat.strip())
+    return found
+
+
 class TestNoWorkerOutlivesStream:
     """Every pool process is reaped before ``classify_stream`` returns."""
 
@@ -439,13 +519,39 @@ class TestNoWorkerOutlivesStream:
         assert stream.failures and stream.complete
         assert multiprocessing.active_children() == []
 
-    def test_shm_transport(self, toy, eight_rows):
-        _rib, classifier = toy
-        stream = classifier.classify_stream(
-            eight_rows, chunk_rows=2, n_workers=2, transport="shm"
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not os.path.isdir("/proc/self"),
+        reason="needs the fork start method and /proc",
+    )
+    def test_no_process_outlives_the_interpreter(self):
+        """Run every parallel path in a child interpreter that leads its
+        own session, then look for anything left in that session.
+
+        ``active_children()`` only sees pool workers the parent still
+        knows about; a helper such as CPython's resource tracker is
+        started outside that bookkeeping and can outlive the
+        interpreter. Fork is forced: under spawn CPython starts the
+        tracker for every pool semaphore, and it then outlives the
+        interpreter in some runs, so only fork can assert it never
+        starts.
+        """
+        src = os.path.dirname(os.path.dirname(classifier_mod.__file__))
+        env = dict(os.environ, MP_START_METHOD="fork")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(src), env.get("PYTHONPATH")) if p
         )
-        assert stream.n_flows == len(eight_rows)
-        assert multiprocessing.active_children() == []
+        child = subprocess.Popen(
+            [sys.executable, "-c", _OUTLIVE_CHILD],
+            env=env,
+            start_new_session=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        output, _ = child.communicate(timeout=300)
+        assert child.returncode == 0, output
+        assert _session_processes(child.pid) == []
 
 
 class TestWorldIntegration:

@@ -21,8 +21,7 @@ Project rules (run once over the merged summaries):
   rules (:mod:`tools.reprolint.checks.program_concurrency`), which
   run against the call-graph index in
   :mod:`tools.reprolint.program`;
-* RL301 shm segment lifecycle, RL302 commit ordering, RL303
-  supervised pool lifecycle, RL304 hot-path dtype flow, RL305 static
+* RL302 commit ordering, RL303 supervised pool lifecycle, RL304 hot-path dtype flow, RL305 static
   shape compatibility — the flow-sensitive dataflow rules
   (:mod:`tools.reprolint.checks.dataflow_rules`), which interpret the
   protocol machines in :mod:`tools.reprolint.protocols` over per-

@@ -1,14 +1,12 @@
 """Concurrency-safety rules: RL001 pool discipline, RL002 worker-global
-registry, RL003 span re-arm, RL010 shared-memory discipline.
+registry, RL003 span re-arm.
 
 These encode the fork/spawn protocol ``core/classifier.py`` established:
 process pools are built in exactly one supervised place, every mutable
 module global a worker reads is listed in the ``_STREAM_GLOBALS``
-save/restore registry, a pool whose workers touch the ambient tracer
-re-arms it in the initializer (spawn does not inherit the parent's
-enabled flag the way fork does), and POSIX shared-memory segments are
-created/attached/unlinked only through the audited lifecycle helper in
-``util/shmseg.py`` (whose leak accounting would otherwise be blind).
+save/restore registry, and a pool whose workers touch the ambient
+tracer re-arms it in the initializer (spawn does not inherit the
+parent's enabled flag the way fork does).
 """
 
 from __future__ import annotations
@@ -75,50 +73,6 @@ class PoolDiscipline(Checker):
                     "supervised classifier path; use "
                     "SpoofingClassifier.classify_stream(n_workers=...) "
                     "or extend the allowlist deliberately",
-                )
-
-
-#: Dotted call targets that open a POSIX shared-memory segment.
-_SHM_CONSTRUCTORS = (
-    "SharedMemory",
-    "shared_memory.SharedMemory",
-    "multiprocessing.shared_memory.SharedMemory",
-)
-
-
-@register
-class SharedMemoryDiscipline(Checker):
-    """RL010 — shm segments only through the audited helper."""
-
-    rule = "RL010"
-    title = (
-        "SharedMemory segments may only be created or attached through "
-        "the audited lifecycle helper (util/shmseg.py)"
-    )
-
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        if not ctx.config.in_src(ctx.rel):
-            return
-        if ctx.rel in ctx.config.shm_allowlist:
-            return
-        imports = import_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = resolve_call_name(node.func, imports)
-            if resolved in _SHM_CONSTRUCTORS or resolved.endswith(
-                ".SharedMemory"
-            ):
-                yield Finding(
-                    ctx.rel,
-                    node.lineno,
-                    node.col_offset + 1,
-                    self.rule,
-                    f"raw SharedMemory construction ({resolved}) outside "
-                    "the audited helper; use util/shmseg "
-                    "create_segment()/attach_segment() so the leak audit "
-                    "sees every segment, or extend the allowlist "
-                    "deliberately",
                 )
 
 

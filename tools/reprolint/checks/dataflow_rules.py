@@ -1,17 +1,15 @@
-"""RL301–RL305 — the flow-sensitive dataflow rules.
+"""RL302–RL305 — the flow-sensitive dataflow rules.
 
-Typestate rules interpret the declarative protocol machines in
-:mod:`tools.reprolint.protocols` over each function's CFG
-(:mod:`tools.reprolint.dataflow`):
+The commit-ordering and typestate rules interpret the declarative
+protocol machines in :mod:`tools.reprolint.protocols` over each
+function's CFG (:mod:`tools.reprolint.dataflow`):
 
-* RL301 — shm segment lifecycle (create/attach → release on every
-  path, exception edges included; no use-after-release) — the static
-  generalisation of RL010's allowlist;
 * RL302 — WAL/checkpoint commit ordering (fsync dominates rename on
   every durable path, ``wal.sync()`` dominates checkpoint save) — the
   flow-sensitive upgrade of RL204's lexical check;
-* RL303 — supervised pool lifecycle (no submit to a drained pool,
-  version-aware re-arm after every rebuild).
+* RL303 — supervised pool lifecycle (drained on every path,
+  exception edges included; no submit to a drained pool, no join on
+  a running one; version-aware re-arm after every rebuild).
 
 Dtype/shape rules run abstract interpretation over numpy expressions
 in the configured dtype scope (``core``/``net``/``cones``/``sketch``):
@@ -50,7 +48,6 @@ from tools.reprolint.dataflow import (
 from tools.reprolint.findings import Finding
 from tools.reprolint import program as _program
 from tools.reprolint.protocols import (
-    SHM_SEGMENT,
     SUPERVISED_POOL,
     WAL_COMMIT,
     ProtocolSpec,
@@ -121,14 +118,19 @@ class _Dedup:
 
 
 # ---------------------------------------------------------------------------
-# Typestate machinery (RL301 / RL303)
+# Typestate machinery (RL303)
 # ---------------------------------------------------------------------------
 
 State = frozenset  # of (var, state) pairs
 
 
 class _TypestateMachine:
-    """Interprets one :class:`ProtocolSpec` over local variables."""
+    """Interprets one :class:`ProtocolSpec` over local variables.
+
+    ``helpers`` are interprocedural summaries: ``(event, names)`` —
+    calling ``name(x)`` fires ``event`` on ``x`` as if the helper's
+    body were inlined (see :func:`_event_helpers`).
+    """
 
     def __init__(
         self,
@@ -137,20 +139,19 @@ class _TypestateMachine:
         *,
         factories: frozenset[str] = frozenset(),
         version_vars: frozenset[str] = frozenset(),
-        extra_release: frozenset[str] = frozenset(),
-        escape_on_call_arg: bool = True,
+        helpers: tuple[tuple[str, frozenset[str]], ...] = (),
     ) -> None:
         self.spec = spec
         self.resolve = resolve
         self.factories = factories
         self.version_vars = version_vars
-        self.escape_on_call_arg = escape_on_call_arg
-        self.event_calls: list[tuple[str, frozenset[str], str]] = []
-        for event, patterns, subject in spec.events:
-            names = set(patterns)
-            if event == "release":
-                names |= set(extra_release)
-            self.event_calls.append((event, frozenset(names), subject))
+        self.event_calls: list[tuple[str, frozenset[str], str]] = [
+            (event, frozenset(patterns), subject)
+            for event, patterns, subject in spec.events
+        ]
+        self.event_calls += [
+            (event, names, "arg0") for event, names in helpers if names
+        ]
         self.initial = dict(spec.initial)
         self.transitions = {
             (state, event): to for state, event, to in spec.transitions
@@ -159,8 +160,6 @@ class _TypestateMachine:
             (state, event): msg for state, event, msg in spec.event_errors
         }
         self.exc_exit_errors = dict(spec.exc_exit_errors)
-        use_error = spec.option("use_error")
-        self.use_error = use_error[0] if use_error else ""
 
     # -- event extraction --------------------------------------------------
 
@@ -193,13 +192,20 @@ class _TypestateMachine:
         return out
 
     def _submit_events(
-        self, stmt: ast.AST, tracked: set[str]
+        self, stmt: ast.AST, tracked: set[str], eventful: set[int]
     ) -> list[tuple[str, ast.AST]]:
-        """Uses that count as ``submit`` for pool-style protocols."""
+        """Uses that count as ``submit`` for pool-style protocols.
+
+        ``eventful`` holds the ids of calls that already fired a
+        protocol event (a drain helper taking the pool is a drain,
+        not a use).
+        """
         if "submit" not in {event for _state, event in self.event_errors}:
             return []
         out: list[tuple[str, ast.AST]] = []
         for call in _calls_in(stmt):
+            if id(call) in eventful:
+                continue
             if (
                 isinstance(call.func, ast.Attribute)
                 and call.func.attr in POOL_SUBMIT_METHODS
@@ -222,6 +228,20 @@ class _TypestateMachine:
 
     def _untrack(self, state: State, var: str) -> State:
         return frozenset(p for p in state if p[0] != var)
+
+    def _fire_events(self, stmt: ast.AST, state: State) -> State:
+        for event, var, _node in self._var_events(stmt):
+            states = self.states_of(state, var)
+            if not states:
+                continue
+            moved = set()
+            for s in states:
+                to = self.transitions.get((s, event)) or self.transitions.get(
+                    ("*", event)
+                )
+                moved.add(to if to else s)
+            state = self._untrack(state, var) | {(var, s) for s in moved}
+        return state
 
     def apply(self, stmt: ast.AST, state: State) -> State:
         tracked = {v for v, _s in state}
@@ -282,22 +302,10 @@ class _TypestateMachine:
             for target in stmt.targets:
                 if isinstance(target, ast.Name) and target.id in tracked:
                     state = self._untrack(state, target.id)
-        # Event transitions on tracked variables.
-        for event, var, _node in self._var_events(stmt):
-            states = self.states_of(state, var)
-            if not states:
-                continue
-            moved = set()
-            for s in states:
-                to = self.transitions.get((s, event)) or self.transitions.get(
-                    ("*", event)
-                )
-                moved.add(to if to else s)
-            state = self._untrack(state, var) | {(var, s) for s in moved}
+        state = self._fire_events(stmt, state)
         # Escapes: returning the resource or storing it on an object
-        # transfers ownership; passing it as a bare call argument does
-        # too for escape-on-arg protocols (on the *normal* edge only —
-        # the exception edge keeps the pre-state, which is the point).
+        # transfers ownership (on the *normal* edge only — the
+        # exception edge keeps the pre-state, which is the point).
         if isinstance(stmt, ast.Return) and isinstance(
             stmt.value, ast.Name
         ):
@@ -308,40 +316,35 @@ class _TypestateMachine:
             for target in stmt.targets:
                 if isinstance(target, ast.Attribute):
                     state = self._untrack(state, stmt.value.id)
-        if self.escape_on_call_arg:
-            eventful = {
-                var for _e, var, _n in self._var_events(stmt)
-            }
-            for call in _calls_in(stmt):
-                for arg in list(call.args) + [
-                    kw.value for kw in call.keywords
-                ]:
-                    if (
-                        isinstance(arg, ast.Name)
-                        and arg.id in tracked
-                        and arg.id not in eventful
-                    ):
-                        state = self._untrack(state, arg.id)
         return state
 
     def apply_exc(self, stmt: ast.AST, state: State) -> State:
         """Event transitions that stick even when the statement raises:
-        the release/drain calls themselves (an exception from
-        ``release_segment`` still consumed the segment), but not
-        acquire bindings or ownership escapes (those only happen on
-        the normal edge)."""
-        for event, var, _node in self._var_events(stmt):
-            states = self.states_of(state, var)
-            if not states:
-                continue
-            moved = set()
-            for s in states:
-                to = self.transitions.get((s, event)) or self.transitions.get(
-                    ("*", event)
-                )
-                moved.add(to if to else s)
-            state = self._untrack(state, var) | {(var, s) for s in moved}
-        return state
+        the drain calls themselves (an exception from ``terminate()``
+        still ended the pool), but not acquire bindings or ownership
+        escapes (those only happen on the normal edge)."""
+        return self._fire_events(stmt, state)
+
+    def refine(self, test: ast.expr | None, assume: bool, state: State) -> State:
+        """Drop a tracked name on the edge where it is known ``None``
+        (``if pool is not None:`` false edge, ``if pool is None:`` true
+        edge, ``if pool:`` false edge) — nothing is held there."""
+        var = ""
+        if isinstance(test, ast.Name) and not assume:
+            var = test.id
+        elif (
+            isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name)
+            and len(test.ops) == 1
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
+        ):
+            op = test.ops[0]
+            if (isinstance(op, ast.IsNot) and not assume) or (
+                isinstance(op, ast.Is) and assume
+            ):
+                var = test.left.id
+        return self._untrack(state, var) if var else state
 
     # -- reporting ---------------------------------------------------------
 
@@ -349,30 +352,18 @@ class _TypestateMachine:
         self, stmt: ast.AST, state: State, sink: _Dedup
     ) -> None:
         tracked = {v for v, _s in state}
-        eventful: set[str] = set()
+        eventful: set[int] = set()
         for event, var, node in self._var_events(stmt):
-            eventful.add(var)
+            eventful.add(id(node))
             for s in self.states_of(state, var):
                 msg = self.event_errors.get((s, event))
                 if msg:
                     sink.emit(node.lineno, node.col_offset, msg)
-        for var, node in self._submit_events(stmt, tracked):
+        for var, node in self._submit_events(stmt, tracked, eventful):
             for s in self.states_of(state, var):
                 msg = self.event_errors.get((s, "submit"))
                 if msg:
                     sink.emit(node.lineno, node.col_offset, msg)
-        if self.use_error:
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id in tracked
-                    and node.id not in eventful
-                    and "released" in self.states_of(state, node.id)
-                ):
-                    sink.emit(
-                        node.lineno, node.col_offset, self.use_error
-                    )
 
     def unbound_acquires(self, stmt: ast.AST, sink: _Dedup) -> None:
         """An acquire nested inside a larger expression has no owner to
@@ -415,6 +406,11 @@ class _TypestateForward(ForwardAnalysis):
     def transfer_exc(self, stmt: ast.AST, state: State) -> State:
         return self.machine.apply_exc(stmt, state)
 
+    def branch(
+        self, test: ast.expr | None, assume: bool, state: State
+    ) -> State:
+        return self.machine.refine(test, assume, state)
+
 
 def _run_typestate(
     machine: _TypestateMachine,
@@ -451,13 +447,14 @@ def _run_typestate(
     return sink.findings
 
 
-def _release_helpers(index: _program.ProgramIndex) -> frozenset[str]:
-    """Names of functions that release their first parameter — calling
-    ``helper(seg)`` counts as a release event (interprocedural
-    summary over the program index)."""
+def _event_helpers(
+    index: _program.ProgramIndex, methods: frozenset[str]
+) -> frozenset[str]:
+    """Names of functions that call one of ``methods`` on their first
+    parameter — ``helper(pool)`` then fires the same event on ``pool``
+    (an interprocedural summary over the program index)."""
     helpers: set[str] = set()
-    release_names = set(SHM_SEGMENT.events[1][1])
-    for key, fn in index.functions.items():
+    for fn in index.functions.values():
         args = [a.arg for a in fn.node.args.args if a.arg != "self"]
         if not args:
             continue
@@ -465,52 +462,14 @@ def _release_helpers(index: _program.ProgramIndex) -> frozenset[str]:
         for node in ast.walk(fn.node):
             if (
                 isinstance(node, ast.Call)
-                and isinstance(
-                    node.func, (ast.Name, ast.Attribute)
-                )
-                and (
-                    node.func.id
-                    if isinstance(node.func, ast.Name)
-                    else node.func.attr
-                )
-                in release_names
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id == first
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in methods
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == first
             ):
                 helpers.add(fn.name)
                 break
     return frozenset(helpers)
-
-
-@register
-class ShmSegmentTypestate(_ProgramChecker):
-    """RL301 — shm segment lifecycle verified on every path."""
-
-    rule = "RL301"
-    title = (
-        "shm segment lifecycle: release on every path (exception "
-        "edges included), no use-after-release"
-    )
-
-    def check_program(
-        self, ctx: ProjectContext, index: _program.ProgramIndex
-    ) -> Iterable[Finding]:
-        helpers = _release_helpers(index)
-        for rel, imports, fn in _scope_functions(
-            ctx,
-            index,
-            lambda r: ctx.config.in_src(r)
-            and r not in ctx.config.shm_allowlist,
-        ):
-            machine = _TypestateMachine(
-                SHM_SEGMENT,
-                lambda call, imp=imports: resolve_call_name(
-                    call.func, imp
-                ),
-                extra_release=helpers,
-            )
-            yield from _run_typestate(machine, rel, fn, self.rule)
 
 
 @register
@@ -519,13 +478,20 @@ class SupervisedPoolTypestate(_ProgramChecker):
 
     rule = "RL303"
     title = (
-        "supervised pool lifecycle: no submit to a drained pool, "
-        "version-aware re-arm after every rebuild"
+        "supervised pool lifecycle: drained on every path (exception "
+        "edges included), no submit to a drained pool, version-aware "
+        "re-arm after every rebuild"
     )
 
     def check_program(
         self, ctx: ProjectContext, index: _program.ProgramIndex
     ) -> Iterable[Finding]:
+        drain = next(
+            patterns
+            for event, patterns, _subject in SUPERVISED_POOL.events
+            if event == "drain"
+        )
+        helpers = (("drain", _event_helpers(index, frozenset(drain))),)
         for rel, imports, fn in _scope_functions(
             ctx, index, ctx.config.in_src
         ):
@@ -536,7 +502,7 @@ class SupervisedPoolTypestate(_ProgramChecker):
                 ),
                 factories=ctx.config.pool_factories,
                 version_vars=ctx.config.pool_version_vars,
-                escape_on_call_arg=False,
+                helpers=helpers,
             )
             yield from _run_typestate(machine, rel, fn, self.rule)
 

@@ -33,10 +33,6 @@ def _default_doc_packages() -> tuple[str, ...]:
     )
 
 
-def _default_shm_allowlist() -> frozenset[str]:
-    return frozenset({"src/repro/util/shmseg.py"})
-
-
 def _default_reference_roots() -> tuple[str, ...]:
     return ("src", "tests", "benchmarks", "examples", "docs")
 
@@ -53,12 +49,6 @@ class LintConfig:
     #: supervised path in ``core/classifier.py``.
     pool_allowlist: frozenset[str] = field(
         default_factory=_default_pool_allowlist
-    )
-    #: Files allowed to construct ``SharedMemory`` segments (RL010) —
-    #: the one audited lifecycle helper in ``util/shmseg.py``, whose
-    #: leak accounting every other module must go through.
-    shm_allowlist: frozenset[str] = field(
-        default_factory=_default_shm_allowlist
     )
     #: Directories whose numpy code is hot-path (RL004).
     hot_path_dirs: tuple[str, ...] = field(default_factory=_default_hot_paths)

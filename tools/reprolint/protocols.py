@@ -16,9 +16,8 @@ same way editing ``LintConfig`` does.
 
 Call patterns match a resolved dotted call name (via
 :func:`tools.reprolint.checks._astutil.resolve_call_name`) either
-exactly or by final component, so ``from repro.util.shmseg import
-create_segment`` and ``shmseg.create_segment(...)`` both fire the same
-event.
+exactly or by final component, so ``from pools import make_pool`` and
+``pools.make_pool(...)`` both fire the same event.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import json
 __all__ = [
     "ProtocolSpec",
     "PROTOCOLS",
-    "SHM_SEGMENT",
     "WAL_COMMIT",
     "SUPERVISED_POOL",
     "protocols_digest",
@@ -84,53 +82,6 @@ class ProtocolSpec:
         return ()
 
 
-#: RL301 — shared-memory segment lifecycle. A segment acquired from
-#: the audited helpers must be released (or escape into an owner
-#: object) on *every* path, including the exception edges between
-#: acquire and escape; releasing twice or using after release is a
-#: violation.
-SHM_SEGMENT = ProtocolSpec(
-    name="shm-segment",
-    rule="RL301",
-    description=(
-        "shm segment lifecycle: create/attach, then release (or hand "
-        "to an owner) on every path — exception paths included"
-    ),
-    states=("held", "released"),
-    events=(
-        ("acquire", ("create_segment", "attach_segment"), "result"),
-        ("release", ("release_segment",), "arg0"),
-    ),
-    initial=(("acquire", "held"),),
-    transitions=(
-        ("held", "release", "released"),
-    ),
-    event_errors=(
-        (
-            "released",
-            "release",
-            "segment released twice on one path — release_segment() "
-            "already unregistered it",
-        ),
-    ),
-    exc_exit_errors=(
-        (
-            "held",
-            "shm segment can leak on an exception path — wrap the "
-            "construction in try/except and release_segment() before "
-            "re-raising",
-        ),
-    ),
-    options=(
-        (
-            "use_error",
-            (
-                "segment used after release_segment() on this path",
-            ),
-        ),
-    ),
-)
-
 #: RL302 — WAL/checkpoint commit ordering. A rename in the durable
 #: rename scope must be dominated by an fsync (directly, or via a
 #: helper with fsync effect) on every non-exempt path; a checkpoint
@@ -164,14 +115,17 @@ WAL_COMMIT = ProtocolSpec(
 #: RL303 — supervised pool lifecycle. Pools built by the configured
 #: factory helpers are armed against a state version: a rebuilt pool
 #: must see a version re-arm before the next submit, a terminated
-#: pool must never be submitted to again.
+#: pool must never be submitted to again, ``join()`` needs a drained
+#: pool, and a pool still running when the function exits on an
+#: exception edge leaves its worker processes behind.
 SUPERVISED_POOL = ProtocolSpec(
     name="supervised-pool",
     rule="RL303",
     description=(
         "supervised pool lifecycle: arm against a state version, "
-        "drain (terminate+join) before rebuild, version-aware re-arm "
-        "before reuse, no submit to a drained pool"
+        "drain (terminate+join) before rebuild and on every exception "
+        "path, version-aware re-arm before reuse, no submit to a "
+        "drained pool"
     ),
     states=("armed", "armed_stale", "drained"),
     events=(
@@ -199,12 +153,37 @@ SUPERVISED_POOL = ProtocolSpec(
             "resubmitted chunks run against the state the pool "
             "actually snapshot",
         ),
+        (
+            "armed",
+            "join",
+            "join() on a running pool — Pool.join() raises until "
+            "close() or terminate() has drained it",
+        ),
+        (
+            "armed_stale",
+            "join",
+            "join() on a running pool — Pool.join() raises until "
+            "close() or terminate() has drained it",
+        ),
+    ),
+    exc_exit_errors=(
+        (
+            "armed",
+            "pool can outlive the call on an exception path — its "
+            "worker processes keep running; terminate() it in a "
+            "finally",
+        ),
+        (
+            "armed_stale",
+            "pool can outlive the call on an exception path — its "
+            "worker processes keep running; terminate() it in a "
+            "finally",
+        ),
     ),
 )
 
 #: Every shipped protocol, in rule order.
 PROTOCOLS: tuple[ProtocolSpec, ...] = (
-    SHM_SEGMENT,
     WAL_COMMIT,
     SUPERVISED_POOL,
 )
