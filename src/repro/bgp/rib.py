@@ -543,6 +543,15 @@ class GlobalRIB:
             self._finalized = _FinalizedRIB(self)
         return self._finalized
 
+    def finalize(self) -> None:
+        """Build the finalized vectorised view now, if it is not current.
+
+        Every lookup builds it on first use anyway; calling this first
+        lets a caller time it on its own, or build it once in a parent
+        process so forked workers share it copy-on-write.
+        """
+        self._final()
+
     @property
     def indexer(self) -> AsnIndexer:
         """Dense index over every AS observed in BGP."""

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -81,26 +83,24 @@ MP_START_METHOD_ENV = "MP_START_METHOD"
 #: (``in_worker=False``). See :mod:`repro.testing.faults`.
 FaultInjector = Callable[[int, int, bool], None]
 
-#: The classifier (and, for whole-table runs, the flow table and fault
-#: hook) a forked stream worker operates on — set in the parent right
-#: before the pool forks, inherited copy-on-write so nothing big
-#: crosses a pipe. Spawn-based pools receive the same state through
-#: the pool initializer instead.
+#: The classifier, and for whole-table runs the flow table, that a
+#: stream worker operates on, plus the fault hook. They reach workers
+#: only through the pool initializer, under both start methods: fork
+#: hands ``initargs`` to the child without pickling them (a whole table
+#: is inherited copy-on-write, so nothing big crosses a pipe), spawn
+#: pickles them once per pool start. The parent never sets them.
 _STREAM_CLASSIFIER: "SpoofingClassifier | None" = None
 _STREAM_TABLE: FlowTable | None = None
 _STREAM_INJECTOR: FaultInjector | None = None
 
-#: The armed sketch-triage state (``triage="sketch"``) follows the same
-#: fork/spawn protocol as the classifier itself (fork inherits, spawn
-#: receives via the pool initializer).
+#: The armed sketch-triage state (``triage="sketch"``), delivered the
+#: same way.
 _STREAM_TRIAGE: "SketchTriageState | None" = None
 
-#: The save/restore registry: every mutable module global a pool
-#: worker reads MUST be listed here — ``_classify_parallel`` snapshots
-#: and restores exactly these names, and reprolint rule RL002 rejects
-#: any worker that reads an unregistered global. Extending the worker
-#: protocol means extending this tuple, which is what keeps fork and
-#: spawn behaviour symmetric by construction.
+#: The registry of every mutable module global a pool worker reads:
+#: ``_stream_init`` sets exactly these names, and reprolint rule RL002
+#: rejects any worker that reads an unregistered global. Extending the
+#: worker protocol means extending this tuple.
 _STREAM_GLOBALS = (
     "_STREAM_CLASSIFIER",
     "_STREAM_TABLE",
@@ -175,26 +175,30 @@ class FailurePolicy:
 
 
 def _stream_init(
-    classifier: "SpoofingClassifier | None",
+    classifier: "SpoofingClassifier",
+    table: FlowTable | None,
     injector: FaultInjector | None,
-    tracing: bool = False,
-    triage: "SketchTriageState | None" = None,
+    tracing: bool,
+    triage: "SketchTriageState | None",
 ) -> None:
-    """Pool initializer: adopt pickled state (spawn start only).
+    """Pool initializer: adopt the worker state (every start method).
 
-    ``tracing`` re-arms the worker's ambient tracer under spawn, where
-    the parent's enabled flag is not inherited the way fork inherits
-    it; fork pools pass ``False`` (the flag is already in the globals
-    the child inherited). ``triage`` arms the sketch path under spawn
-    (fork inherits the parent's global).
+    ``tracing`` re-arms the worker's ambient tracer, which spawn does
+    not inherit; under fork the flag is already set when it is true.
+
+    A fork worker also inherits the parent's Python signal handlers.
+    ``Pool.terminate()`` stops workers with SIGTERM, so a handler that
+    only flags a drain (``repro watch`` installs one) would keep the
+    worker alive and hang the terminate; workers take the default
+    action instead.
     """
-    global _STREAM_CLASSIFIER, _STREAM_INJECTOR, _STREAM_TRIAGE
-    if classifier is not None:
-        _STREAM_CLASSIFIER = classifier
-    if injector is not None:
-        _STREAM_INJECTOR = injector
-    if triage is not None:
-        _STREAM_TRIAGE = triage
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    global _STREAM_CLASSIFIER, _STREAM_TABLE, _STREAM_INJECTOR
+    global _STREAM_TRIAGE
+    _STREAM_CLASSIFIER = classifier
+    _STREAM_TABLE = table
+    _STREAM_INJECTOR = injector
+    _STREAM_TRIAGE = triage
     if tracing:
         enable_tracing()
 
@@ -264,6 +268,10 @@ class SpoofingClassifier:
     NAIVE / Invalid CC / Invalid FULL columns of Table 1).
     """
 
+    #: The pool a :meth:`kept_pool` block holds open (``None`` outside
+    #: one). It belongs to the running process, so it is never pickled.
+    _kept_pool: "PoolSupervisor | None" = None
+
     def __init__(
         self,
         rib: GlobalRIB,
@@ -276,6 +284,34 @@ class SpoofingClassifier:
         self._approaches = dict(approaches)
         self._bogons = bogons if bogons is not None else bogon_prefix_set()
         self._state_version = 0
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_kept_pool", None)
+        return state
+
+    @contextmanager
+    def kept_pool(self, n_workers: int | None) -> Iterator[None]:
+        """Keep one supervised pool for the length of the block.
+
+        Inside the block every parallel :meth:`classify_stream` call
+        over a chunk iterable (no fault hook, no triage) runs on the
+        same :class:`PoolSupervisor` instead of starting its own, so
+        its workers survive from call to call and are rebuilt only when
+        :attr:`state_version` moves. Leaving the block, however it is
+        left, terminates them. ``n_workers`` of ``None`` or 1 keeps
+        nothing: such calls run in-process anyway.
+        """
+        if n_workers is None or n_workers <= 1:
+            yield
+            return
+        supervisor = PoolSupervisor(self, n_workers)
+        self._kept_pool = supervisor
+        try:
+            yield
+        finally:
+            self._kept_pool = None
+            supervisor.close()
 
     @property
     def approach_names(self) -> list[str]:
@@ -526,17 +562,33 @@ class SpoofingClassifier:
                         f"chunk failed in-process: {exc}", chunk_index=index
                     ) from exc
         else:
-            for summary in self._classify_parallel(
-                flow_chunks,
-                n_workers,
-                keep_labels,
-                chunk_rows,
-                policy=policy,
-                injector=fault_injector,
-                failures=merged.failures,
-                triage_state=triage_state,
+            kept = self._kept_pool
+            scope: AbstractContextManager[PoolSupervisor]
+            if (
+                kept is not None
+                and table is None
+                and fault_injector is None
+                and triage_state is None
             ):
-                absorb(summary)
+                scope = nullcontext(kept)
+            else:
+                scope = PoolSupervisor(
+                    self,
+                    n_workers,
+                    table=table,
+                    injector=fault_injector,
+                    triage_state=triage_state,
+                )
+            supervisor: PoolSupervisor
+            with scope as supervisor:
+                for summary in supervisor.summaries(
+                    flow_chunks,
+                    chunk_rows=chunk_rows,
+                    keep_labels=keep_labels,
+                    policy=policy,
+                    failures=merged.failures,
+                ):
+                    absorb(summary)
         self._observe_stream(merged, time.perf_counter() - stream_start)
         return merged
 
@@ -601,19 +653,111 @@ class SpoofingClassifier:
             return triage_state.digest(chunk, self._rib)
         return _summarize(self, chunk, keep_labels)
 
-    def _classify_parallel(
+
+class PoolSupervisor:
+    """The supervised worker pool behind every parallel classification.
+
+    Owns one process pool, its start method, and the classifier
+    :attr:`~SpoofingClassifier.state_version` the pool was armed with.
+    The pool starts when the first chunk is submitted, and is rebuilt
+    before a later submit if and only if the state version has moved
+    since it was armed (fork re-snapshots the parent's memory, spawn
+    re-pickles the classifier) — or when a hung or dead worker has to
+    be reclaimed. Every start increments the ``stream.pool_starts``
+    counter and records a ``classify.pool_start`` span.
+
+    The owner picks the scope: :meth:`SpoofingClassifier.classify_stream`
+    opens one supervisor per call, and
+    :meth:`SpoofingClassifier.kept_pool` one for a block of calls (the
+    online pipeline holds it for a whole watch run, so its windows
+    reuse the same workers). :meth:`close` terminates and joins the
+    pool; use the supervisor as a context manager or close it in a
+    ``finally``.
+    """
+
+    def __init__(
+        self,
+        classifier: SpoofingClassifier,
+        n_workers: int,
+        *,
+        table: FlowTable | None = None,
+        injector: FaultInjector | None = None,
+        triage_state: "SketchTriageState | None" = None,
+    ) -> None:
+        """``table`` is the whole table a per-call run classifies: under
+        fork it travels to the workers with the pool and chunks become
+        ``(start, stop)`` row ranges of it."""
+        method = os.environ.get(MP_START_METHOD_ENV, "").strip() or None
+        if method is None and "fork" in multiprocessing.get_all_start_methods():
+            method = "fork"
+        self._ctx = multiprocessing.get_context(method)
+        self._fork = method == "fork"
+        self._classifier = classifier
+        self._n_workers = n_workers
+        self._table = table
+        self._injector = injector
+        self._triage_state = triage_state
+        self._pool: Pool | None = None
+        self._armed_version = classifier.state_version
+
+    def __enter__(self) -> "PoolSupervisor":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Terminate and join the pool, if one is running."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+    def _start(self, reason: str) -> None:
+        """(Re)start the pool against the classifier's current state.
+
+        ``reason`` (``arm``, ``version`` or ``reclaim``) labels the
+        ``classify.pool_start`` span.
+        """
+        self.close()
+        classifier = self._classifier
+        # Materialise the finalized RIB before the fork so workers
+        # share it copy-on-write instead of each rebuilding it.
+        classifier._rib.finalize()
+        began = time.perf_counter()
+        self._armed_version = classifier.state_version
+        # Initargs are read at every start: a rebuilt spawn pool must
+        # pickle the classifier's current (possibly delta-patched)
+        # state, and the tracer flag must be the tracer's as it is now.
+        self._pool = self._ctx.Pool(
+            processes=self._n_workers,
+            initializer=_stream_init,
+            initargs=(
+                classifier,
+                self._table,
+                self._injector,
+                current_tracer().enabled,
+                self._triage_state,
+            ),
+        )
+        current_metrics().counter("stream.pool_starts").inc()
+        current_tracer().record(
+            "classify.pool_start",
+            time.perf_counter() - began,
+            reason=reason,
+            workers=self._n_workers,
+        )
+
+    def summaries(
         self,
         flow_chunks: Iterable[FlowTable] | FlowTable,
-        n_workers: int,
-        keep_labels: bool,
-        chunk_rows: int,
         *,
+        chunk_rows: int,
+        keep_labels: bool,
         policy: FailurePolicy,
-        injector: FaultInjector | None,
         failures: FailureLog,
-        triage_state: "SketchTriageState | None",
     ) -> "Iterator[ChunkSummary | TriageDigest]":
-        """Fan chunks out over a supervised pool, yield summaries in order.
+        """Fan chunks out over the pool, yield their summaries in order.
 
         A windowed ``apply_async`` scheduler: chunks are submitted with
         a bounded in-flight window and their summaries yielded strictly
@@ -624,65 +768,35 @@ class SpoofingClassifier:
         complete) tears the whole pool down, rebuilds it, and
         resubmits the collateral in-flight chunks.
 
-        Pools are version-aware: when the classifier's
-        :attr:`state_version` moves mid-stream (the online pipeline
-        patched the RIB or a validity matrix in place), in-flight
-        chunks drain against the state their pool was armed with, then
-        the pool is rebuilt — fork re-snapshots the parent's current
-        memory, spawn re-pickles the classifier — before any later
-        chunk is submitted. Chunks resubmitted after a worker death
-        rerun against the rebuilt pool's (current) state.
+        When the classifier's :attr:`~SpoofingClassifier.state_version`
+        moves mid-stream (the online pipeline patched the RIB or a
+        validity matrix in place), in-flight chunks drain against the
+        state their pool was armed with, then the pool is rebuilt
+        before any later chunk is submitted. Chunks resubmitted after a
+        worker death rerun against the rebuilt pool's (current) state.
 
-        A whole table under fork travels as ``(start, stop)`` row
-        ranges of the copy-on-write table; everything else (chunk
-        iterables, spawn pools) travels as pickled chunks.
+        ``flow_chunks`` is the supervisor's own table (chunked by
+        ``chunk_rows``; row ranges under fork) or a chunk iterable,
+        whose chunks travel pickled.
         """
-        # Materialise the finalized RIB before the fork so workers
-        # share it copy-on-write instead of each rebuilding it.
-        self._rib.lookup_many(np.zeros(1, dtype=np.uint64))
-        global _STREAM_CLASSIFIER, _STREAM_TABLE, _STREAM_INJECTOR
-        global _STREAM_TRIAGE
-        table = flow_chunks if isinstance(flow_chunks, FlowTable) else None
-        method = os.environ.get(MP_START_METHOD_ENV, "").strip() or None
-        if method is None:
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            method = "fork" if fork else None
-        else:
-            fork = method == "fork"
-        ctx = multiprocessing.get_context(method)
-        window = max(2, 2 * n_workers)
-        if fork and table is not None:
+        table = self._table
+        if table is None:
+            jobs_iter: Iterator[object] = iter(flow_chunks)
+        elif self._fork:
             n = len(table)
-            jobs_iter: Iterator[object] = (
+            jobs_iter = (
                 (start, min(start + chunk_rows, n))
                 for start in range(0, n, chunk_rows)
             )
-        elif table is not None:
-            jobs_iter = table.iter_chunks(chunk_rows)
         else:
-            jobs_iter = iter(flow_chunks)
+            jobs_iter = table.iter_chunks(chunk_rows)
         jobs = enumerate(jobs_iter)
+        classifier = self._classifier
+        window = max(2, 2 * self._n_workers)
 
-        def make_pool() -> Pool:
-            # Initargs are evaluated at every pool (re)build, not once
-            # per stream: a rebuilt spawn pool must pickle the
-            # classifier's *current* (possibly delta-patched) state,
-            # and the tracer enabled flag must reflect the tracer as it
-            # is now.
-            if fork:
-                initargs: tuple = (None, None, False, None)
-            else:
-                initargs = (
-                    self, injector, current_tracer().enabled, triage_state
-                )
-            return ctx.Pool(
-                processes=n_workers,
-                initializer=_stream_init,
-                initargs=initargs,
-            )
-
-        def submit(pool: Pool, index: int, job: Any, attempt: int) -> _InFlight:
-            result = pool.apply_async(
+        def submit(index: int, job: Any, attempt: int) -> _InFlight:
+            assert self._pool is not None
+            result = self._pool.apply_async(
                 _stream_worker, ((job, keep_labels, index, attempt),)
             )
             deadline = (
@@ -699,7 +813,7 @@ class SpoofingClassifier:
             return table.select(slice(*job))
 
         def resolve_failure(
-            pool: Pool, failed: _InFlight, exc: BaseException
+            failed: _InFlight, exc: BaseException
         ) -> tuple[str, Any]:
             """Apply the policy to one failed chunk.
 
@@ -722,16 +836,16 @@ class SpoofingClassifier:
                 failures.record_retry(failed.index, failed.attempt, reason)
                 return (
                     "resubmitted",
-                    submit(pool, failed.index, failed.job, failed.attempt + 1),
+                    submit(failed.index, failed.job, failed.attempt + 1),
                 )
             # Retry budget exhausted (retry) or first failure (degrade):
             # reclassify in the parent process.
             chunk = inline_chunk(failed.job)
             next_attempt = failed.attempt + 1
             try:
-                summary = self._inline_summary(
-                    chunk, keep_labels, failed.index, next_attempt, injector,
-                    triage_state,
+                summary = classifier._inline_summary(
+                    chunk, keep_labels, failed.index, next_attempt,
+                    self._injector, self._triage_state,
                 )
             except Exception as inline_exc:
                 if policy.mode == "degrade":
@@ -755,103 +869,76 @@ class SpoofingClassifier:
         inflight: deque[_InFlight] = deque()
         staged: tuple[int, Any] | None = None
         exhausted = False
-        armed_version = self._state_version
-        # Save/restore is unconditional and symmetric across start
-        # methods: fork workers inherit the globals set here, spawn
-        # workers receive the same state through the initializer, and
-        # the parent's globals always return to their previous values
-        # so repeated streamed runs can't observe stale state. The
-        # snapshot is driven by the _STREAM_GLOBALS registry so a new
-        # worker global cannot be wired in without joining it.
-        previous = {name: globals()[name] for name in _STREAM_GLOBALS}
-        if fork:
-            _STREAM_CLASSIFIER = self
-            _STREAM_TABLE = table
-            _STREAM_INJECTOR = injector
-            _STREAM_TRIAGE = triage_state
-        pool: Pool | None = None
-        try:
-            pool = make_pool()
-            while True:
-                while not exhausted and len(inflight) < window:
+        while True:
+            while not exhausted and len(inflight) < window:
+                if staged is None:
+                    staged = next(jobs, None)
                     if staged is None:
-                        staged = next(jobs, None)
-                        if staged is None:
-                            exhausted = True
-                            break
-                    if self._state_version != armed_version:
-                        # The valid-space state moved under us (the
-                        # stream generator applied a delta before
-                        # yielding this chunk). In-flight chunks finish
-                        # against their pool's armed state; this chunk
-                        # must see the current state, so drain first,
-                        # then rebuild.
-                        if inflight:
-                            break
-                        pool.terminate()
-                        pool.join()
-                        pool = make_pool()
-                        armed_version = self._state_version
-                    inflight.append(submit(pool, staged[0], staged[1], 1))
-                    staged = None
-                if not inflight:
-                    break
-                head = inflight[0]
-                timeout = (
-                    None
-                    if head.deadline is None
-                    else max(head.deadline - time.monotonic(), 0.0)
+                        exhausted = True
+                        break
+                if self._pool is None:
+                    self._start("arm")
+                elif classifier.state_version != self._armed_version:
+                    # The valid-space state moved under us (the
+                    # stream generator applied a delta before
+                    # yielding this chunk). In-flight chunks finish
+                    # against their pool's armed state; this chunk
+                    # must see the current state, so drain first,
+                    # then rebuild.
+                    if inflight:
+                        break
+                    self._start("version")
+                inflight.append(submit(staged[0], staged[1], 1))
+                staged = None
+            if not inflight:
+                break
+            head = inflight[0]
+            timeout = (
+                None
+                if head.deadline is None
+                else max(head.deadline - time.monotonic(), 0.0)
+            )
+            try:
+                summary = head.result.get(timeout)
+            except multiprocessing.TimeoutError:
+                # Hung or killed worker: its task can never
+                # complete and the pool's internal state can't be
+                # trusted — reclaim everything and resubmit. The
+                # rebuilt pool snapshots the *current* state, so
+                # collateral/resubmitted chunks rerun against the
+                # newest matrices (at-least-as-current).
+                self._start("reclaim")
+                failed = inflight.popleft()
+                collateral = list(inflight)
+                inflight.clear()
+                outcome, value = resolve_failure(
+                    failed,
+                    TimeoutError(
+                        f"no result within {policy.chunk_timeout}s "
+                        "(worker hung or died)"
+                    ),
                 )
-                try:
-                    summary = head.result.get(timeout)
-                except multiprocessing.TimeoutError:
-                    # Hung or killed worker: its task can never
-                    # complete and the pool's internal state can't be
-                    # trusted — reclaim everything and resubmit.
-                    pool.terminate()
-                    pool.join()
-                    pool = make_pool()
-                    # The rebuilt pool snapshots the *current* state,
-                    # so collateral/resubmitted chunks rerun against
-                    # the newest matrices (at-least-as-current).
-                    armed_version = self._state_version
-                    failed = inflight.popleft()
-                    collateral = list(inflight)
-                    inflight.clear()
-                    outcome, value = resolve_failure(
-                        pool,
-                        failed,
-                        TimeoutError(
-                            f"no result within {policy.chunk_timeout}s "
-                            "(worker hung or died)"
-                        ),
+                for entry in collateral:
+                    inflight.append(
+                        submit(entry.index, entry.job, entry.attempt)
                     )
-                    for entry in collateral:
-                        inflight.append(
-                            submit(pool, entry.index, entry.job, entry.attempt)
-                        )
-                    if outcome == "resubmitted":
-                        inflight.appendleft(value)
-                    elif outcome == "summary":
-                        yield value
-                    continue
-                except Exception as exc:
-                    # The worker raised: the pool itself is healthy,
-                    # only this chunk needs policy treatment.
-                    failed = inflight.popleft()
-                    outcome, value = resolve_failure(pool, failed, exc)
-                    if outcome == "resubmitted":
-                        inflight.appendleft(value)
-                    elif outcome == "summary":
-                        yield value
-                    continue
-                inflight.popleft()
-                yield summary
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            globals().update(previous)
+                if outcome == "resubmitted":
+                    inflight.appendleft(value)
+                elif outcome == "summary":
+                    yield value
+                continue
+            except Exception as exc:
+                # The worker raised: the pool itself is healthy,
+                # only this chunk needs policy treatment.
+                failed = inflight.popleft()
+                outcome, value = resolve_failure(failed, exc)
+                if outcome == "resubmitted":
+                    inflight.appendleft(value)
+                elif outcome == "summary":
+                    yield value
+                continue
+            inflight.popleft()
+            yield summary
 
 
 def default_stream_workers() -> int:

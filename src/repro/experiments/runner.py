@@ -61,7 +61,14 @@ def build_valid_space_maps(
     rib: GlobalRIB, as2org: As2OrgDataset
 ) -> dict[str, ValidSpaceMap]:
     """All five inference variants of Figure 2 (plus naive+orgs), one
-    ``world.cones.<approach>`` span each (``.orgs`` for the merges)."""
+    ``world.cones.<approach>`` span each (``.orgs`` for the merges).
+
+    The RIB's finalized view (LPM segments, the dense AS indexer) is
+    built first, in its own ``world.rib.finalize`` span, so that the
+    first map to need it does not carry its cost.
+    """
+    with trace("world.rib.finalize"):
+        rib.finalize()
     with trace("world.cones.naive"):
         naive = NaiveValidSpace(rib)
     with trace("world.cones.cc"):

@@ -48,15 +48,34 @@ _COLUMNS: tuple[tuple[str, type], ...] = (
 )
 
 
+def _canonical(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``values`` typed by the builtin ``dtype`` instance itself.
+
+    An array that comes out of a pickle carries a dtype that equals the
+    builtin one but is a different object, and that takes ``np.add.at``
+    (and with it every count-weighted bincount of a chunk summary) off
+    its fast path: about 15× slower on a 3,100-row column. ``view``
+    swaps the descriptor without copying the data.
+    """
+    return values if values.dtype is dtype else values.view(dtype)
+
+
 class FlowTable:
-    """A batch of sampled flows, stored as parallel numpy arrays."""
+    """A batch of sampled flows, stored as parallel numpy arrays.
+
+    Every column holds the builtin dtype instance of its type (``dtype
+    is np.dtype(np.int64)``, not only ``==``), whether the table was
+    constructed or unpickled — from a pool payload or a WAL record.
+    """
 
     __slots__ = tuple(name for name, _ in _COLUMNS)
 
     def __init__(self, **columns: np.ndarray) -> None:
         length = None
         for name, dtype in _COLUMNS:
-            values = np.asarray(columns.get(name, ()), dtype=dtype)
+            values = _canonical(
+                np.asarray(columns.get(name, ()), dtype=dtype), np.dtype(dtype)
+            )
             if length is None:
                 length = values.size
             elif values.size != length:
@@ -64,6 +83,13 @@ class FlowTable:
                     f"column {name!r} has {values.size} rows, expected {length}"
                 )
             setattr(self, name, values)
+
+    def __getstate__(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name, _ in _COLUMNS}
+
+    def __setstate__(self, state: dict[str, np.ndarray]) -> None:
+        for name, dtype in _COLUMNS:
+            setattr(self, name, _canonical(state[name], np.dtype(dtype)))
 
     def __len__(self) -> int:
         return int(self.src.size)

@@ -169,9 +169,9 @@ class DurableWatch:
     ``state`` is the warm :class:`~repro.stream.state.OnlineValidState`
     to classify against — a freshly built one for a first run, or
     ``resume.checkpoint.state`` after :func:`recover`. ``policy`` is
-    the *pipeline-level* failure policy: it supervises the per-window
-    worker pools exactly as before **and** governs checkpoint-write
-    retries and stall handling.
+    the *pipeline-level* failure policy: it supervises the run's worker
+    pool exactly as before **and** governs checkpoint-write retries and
+    stall handling.
     """
 
     #: Sharing contract across the ingest-thread / window-loop
@@ -329,8 +329,9 @@ class DurableWatch:
         stall = self.policy.chunk_timeout if self.policy is not None else None
         stream = _QueueStream(self._queue, self, stall)
         self._since_checkpoint = 0
+        windows = self.online.run(stream)
         try:
-            for window in self.online.run(stream):
+            for window in windows:
                 if stream.exhausted and stream.interrupted:
                     # The drain cut this window short mid-stream;
                     # resume will recompute and emit it complete.
@@ -349,6 +350,10 @@ class DurableWatch:
                     raise
                 self._commit(window.index, applied_seq)
         finally:
+            # Close the window generator explicitly, so its worker pool
+            # is reaped here: a traceback that holds this frame would
+            # otherwise keep the generator, and the pool, alive.
+            windows.close()
             self._stop.set()
             self._drain_queue()
             if self._ingest_thread is not None:

@@ -10,10 +10,12 @@
 * flow chunks are classified against the state *as of their position
   in the stream* — inside a window, a chunk that arrives after a route
   delta sees the patched matrices, a chunk before it does not;
-* each window runs as one ``classify_stream`` call, so its merged
+* each window is one streamed classification, so its merged
   counters/labels follow the exact chunk-merge algebra of the batch
-  pipeline, and the supervised pool path (``n_workers``) re-arms
-  worker pools whenever the state version moves mid-window.
+  pipeline. With ``n_workers`` one supervised pool serves the whole
+  run: it starts at the first flow chunk, is rebuilt only when a route
+  event has moved the state version before a chunk, and is torn down
+  when the generator ends, however it ends.
 
 Timestamps must be non-decreasing; a regression raises. Windows with
 no events at all are skipped (the stream is sparse, not dense).
@@ -148,19 +150,26 @@ class OnlineClassifier:
         and can be stopped at any window boundary. Windows at or below
         :attr:`emitted_through` are recovery recomputations: consumed
         and applied, but suppressed instead of yielded.
+
+        With ``n_workers`` > 1 every window is classified on one
+        worker pool (``SpoofingClassifier.kept_pool``) that lives as
+        long as this generator: exhausting it, ``close()``, an
+        exception, or collecting an abandoned generator terminates the
+        workers.
         """
         stream = _Peekable(events)
-        while True:
-            head = stream.peek()
-            if head is None:
-                return
-            index = head.timestamp // self.window_seconds
-            emit = self.emitted_through is None or index > self.emitted_through
-            result = self._run_window(index, stream, observe=emit)
-            if emit:
-                yield result
-            else:
-                current_metrics().counter("watch.windows_recovered").inc()
+        with self.state.classifier.kept_pool(self.n_workers):
+            while True:
+                head = stream.peek()
+                if head is None:
+                    return
+                index = head.timestamp // self.window_seconds
+                emit = self.emitted_through is None or index > self.emitted_through
+                result = self._run_window(index, stream, observe=emit)
+                if emit:
+                    yield result
+                else:
+                    current_metrics().counter("watch.windows_recovered").inc()
 
     def _run_window(
         self, window_index: int, stream: _Peekable, *, observe: bool = True

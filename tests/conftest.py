@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import WorldConfig, build_world
+from repro.obs import current_metrics, current_tracer, enable_tracing, tracing_enabled
 from repro.topology.model import ASNode, ASTopology, BusinessType, Relationship
 
 
@@ -133,3 +134,15 @@ def default_world():
 def bgp_only_world():
     """A tiny world without traffic (fast BGP/cones-only tests)."""
     return build_world(WorldConfig.tiny(seed=77), with_traffic=False)
+
+
+@pytest.fixture()
+def clean_obs():
+    """Reset ambient tracer/metrics state around a test."""
+    current_tracer().drain()
+    current_metrics().clear()
+    was_enabled = tracing_enabled()
+    yield
+    enable_tracing(was_enabled)
+    current_tracer().drain()
+    current_metrics().clear()

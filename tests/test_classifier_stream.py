@@ -8,9 +8,12 @@ multiprocessing start method ``MP_START_METHOD`` selects; CI's
 resilience matrix exercises both ``fork`` and ``spawn``.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.core.classifier as classifier_mod
 from repro.bgp.messages import RouteObservation
 from repro.bgp.rib import GlobalRIB
 from repro.cones.full_cone import FullConeValidSpace
@@ -21,10 +24,11 @@ from repro.core import (
     TrafficClass,
     summarize_chunk,
 )
-from repro.ixp.flows import PROTO_TCP, FlowTable, TruthLabel
+from repro.ixp.flows import _COLUMNS, PROTO_TCP, FlowTable, TruthLabel
 from repro.net.addr import addr_to_int
 from repro.net.prefix import Prefix
 from repro.obs import Tracer, render_spans, set_tracer, span_totals
+from repro.stream import FlowEvent, WalWriter, replay_wal
 from tests import reference_classifier as reference
 
 
@@ -373,3 +377,81 @@ class TestSketchTriageStream:
         _rib, classifier = toy
         with pytest.raises(ValueError):
             classifier.classify_stream(triage_table(8), triage="hyperloglog")
+
+
+def assert_canonical(table):
+    """Every column holds its type's builtin dtype instance itself."""
+    for name, dtype in _COLUMNS:
+        assert getattr(table, name).dtype is np.dtype(dtype), name
+
+
+def assert_same_summary(got, want):
+    assert got.n_flows == want.n_flows
+    assert got.class_members == want.class_members
+    for field in ("flow_counts", "packet_counts", "byte_counts", "labels"):
+        got_arrays, want_arrays = getattr(got, field), getattr(want, field)
+        assert got_arrays.keys() == want_arrays.keys()
+        for name, array in want_arrays.items():
+            assert got_arrays[name].dtype == array.dtype
+            np.testing.assert_array_equal(got_arrays[name], array)
+
+
+class TestCanonicalDtypes:
+    """Flow chunks that crossed a pickle keep the builtin dtypes.
+
+    An unpickled array's dtype equals the builtin one without being
+    it, which puts ``np.add.at`` — the summaries' count-weighted
+    bincounts — on a slow path.
+    """
+
+    @pytest.fixture()
+    def chunk(self, tiny_world):
+        return tiny_world.scenario.flows.select(slice(0, 3100))
+
+    def test_constructed_and_unpickled(self, chunk):
+        assert_canonical(chunk)
+        # The numpy behaviour the table corrects for.
+        column = pickle.loads(pickle.dumps(chunk.packets))
+        assert column.dtype == np.int64 and column.dtype is not np.dtype(
+            np.int64
+        )
+        assert_canonical(FlowTable(**{name: pickle.loads(pickle.dumps(
+            getattr(chunk, name))) for name, _ in _COLUMNS}))
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            copy = pickle.loads(pickle.dumps(chunk, protocol=protocol))
+            assert_canonical(copy)
+            for name, _ in _COLUMNS:
+                np.testing.assert_array_equal(
+                    getattr(copy, name), getattr(chunk, name)
+                )
+
+    def test_inside_stream_worker(self, tiny_world, chunk, monkeypatch):
+        classifier = tiny_world.classifier
+        monkeypatch.setattr(classifier_mod, "_STREAM_CLASSIFIER", classifier)
+        seen = []
+        summarize = classifier_mod._summarize
+
+        def spy(owner, table, keep_labels):
+            seen.append(table)
+            return summarize(owner, table, keep_labels)
+
+        monkeypatch.setattr(classifier_mod, "_summarize", spy)
+        payload = pickle.loads(pickle.dumps((chunk, True, 0, 1)))
+        got = classifier_mod._stream_worker(payload)
+        (table,) = seen
+        assert table is payload[0]
+        assert_canonical(table)
+        assert_same_summary(
+            got, summarize_chunk(classifier.classify(chunk), keep_labels=True)
+        )
+
+    def test_after_wal_replay(self, tiny_world, chunk, tmp_path):
+        with WalWriter(tmp_path) as wal:
+            wal.append(FlowEvent(chunk, int(chunk.time[0])))
+        ((_seq, event),) = list(replay_wal(tmp_path))
+        assert_canonical(event.flows)
+        classifier = tiny_world.classifier
+        assert_same_summary(
+            summarize_chunk(classifier.classify(event.flows), keep_labels=True),
+            summarize_chunk(classifier.classify(chunk), keep_labels=True),
+        )

@@ -41,18 +41,6 @@ from repro.obs import (
 )
 
 
-@pytest.fixture()
-def clean_obs():
-    """Reset ambient tracer/metrics state around a test."""
-    current_tracer().drain()
-    current_metrics().clear()
-    was_enabled = tracing_enabled()
-    yield
-    enable_tracing(was_enabled)
-    current_tracer().drain()
-    current_metrics().clear()
-
-
 @pytest.fixture(scope="module")
 def world():
     return build_world(WorldConfig.tiny())
@@ -570,9 +558,11 @@ class TestCliObservability:
         records = data.to_dict()["spans"]
         spans = {span["name"] for span in records}
         assert {span["parent"] for span in records
-                if span["name"].startswith("world.cones.")} == {"world.cones"}
+                if span["name"].startswith("world.cones.")
+                or span["name"] == "world.rib.finalize"} == {"world.cones"}
         # World-assembly phases are traced end to end.
         assert {"world.topology", "world.bgp", "world.cones",
+                "world.rib.finalize",
                 "world.cones.naive", "world.cones.cc", "world.cones.full",
                 "world.cones.orgs", "world.traffic", "world.traffic.regular",
                 "world.traffic.stray", "world.traffic.leaks",
@@ -585,6 +575,7 @@ class TestCliObservability:
         build_valid_space_maps(world.rib, world.as2org)
         records = current_tracer().drain()
         assert [r.name for r in records] == [
+            "world.rib.finalize",
             "world.cones.naive", "world.cones.cc", "world.cones.full",
             "world.cones.orgs",
         ]
@@ -647,5 +638,6 @@ def test_worker_tracer_stays_clean(world, clean_obs):
         world.scenario.flows, n_workers=2, chunk_rows=5000
     )
     names = [r.name for r in current_tracer().drain()]
-    # Only the supervisor-side stream span remains ambient.
-    assert names == ["classify.stream"]
+    # Only the supervisor-side spans remain ambient: the one pool start
+    # and the stream.
+    assert names == ["classify.pool_start", "classify.stream"]

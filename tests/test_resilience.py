@@ -9,6 +9,7 @@ corrupted file and report every bad line number exactly.
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ from repro.cones.naive import NaiveValidSpace
 from repro.core import FailurePolicy, SpoofingClassifier, TrafficClass
 from repro.errors import (
     ClassificationError,
+    DurabilityError,
     IngestError,
     Quarantine,
     ReproError,
@@ -34,12 +36,20 @@ from repro.ixp.flows import PROTO_TCP, FlowTable, TruthLabel
 from repro.net.addr import addr_to_int
 from repro.net.errors import AddressError, PrefixError
 from repro.net.prefix import Prefix
+from repro.stream import DurableWatch
 from repro.testing import (
+    DurabilityFaultPlan,
+    DurabilityFaultSpec,
     FaultPlan,
     FaultSpec,
     InjectedCorruption,
     InjectedCrash,
     corrupt_file,
+)
+from repro.testing.recovery import (
+    WINDOW_SECONDS,
+    synthetic_events,
+    synthetic_state,
 )
 
 #: Fast backoff/timeout knobs so fault tests stay sub-second-ish.
@@ -409,16 +419,25 @@ class TestSupervisedParallel:
 
 #: The child side of ``test_no_process_outlives_the_interpreter``: a
 #: whole table (row ranges) and a chunk iterable (pickled chunks), a
-#: ``retry`` run whose hung worker forces a pool rebuild, and a durable
-#: watch that is cut, recovered and resumed.
+#: ``retry`` run whose hung worker forces a pool rebuild, an in-memory
+#: watch cut by ``islice`` and ``close()``, a watch whose route events
+#: re-arm its pool, and a durable watch that is cut, recovered and
+#: resumed.
 _OUTLIVE_CHILD = """
+import itertools
 import multiprocessing.resource_tracker as resource_tracker
 import tempfile
 
 from repro.core import FailurePolicy
 from repro.experiments import WorldConfig, build_world
-from repro.stream import DurableWatch, OnlineValidState, flow_events, recover
+from repro.obs.metrics import current_metrics
+from repro.stream import (
+    DurableWatch, OnlineClassifier, OnlineValidState, flow_events, recover,
+)
 from repro.testing import FaultPlan, FaultSpec
+from repro.testing.recovery import (
+    WINDOW_SECONDS, synthetic_events, synthetic_state,
+)
 
 world = build_world(WorldConfig.tiny())
 classifier, flows = world.classifier, world.scenario.flows
@@ -439,6 +458,19 @@ assert hung.failures.chunks_retried == 1 and hung.complete
 
 day = 86_400
 events = list(flow_events(flows, chunk_rows=2048, window_seconds=day))
+online = OnlineClassifier(
+    OnlineValidState(world.rib, world.approaches), day, n_workers=2
+)
+windows = online.run(iter(events))
+assert len(list(itertools.islice(windows, 3))) == 3
+windows.close()
+
+starts = current_metrics().counter("stream.pool_starts")
+before = starts.value
+churn = OnlineClassifier(synthetic_state(), WINDOW_SECONDS, n_workers=2)
+assert sum(w.n_deltas_applied for w in churn.run(synthetic_events(23, 80)))
+assert starts.value - before > 1  # the run re-armed its pool
+
 with tempfile.TemporaryDirectory() as directory:
     def watch(state, resume=None):
         return DurableWatch(
@@ -462,6 +494,55 @@ with tempfile.TemporaryDirectory() as directory:
 # ask whether it has.
 assert resource_tracker._resource_tracker._pid is None
 """
+
+
+#: The child side of ``test_parent_sigterm_handler_does_not_hang_teardown``:
+#: watch runs that re-arm their fork pools while the parent has a
+#: SIGTERM handler that only flags a drain, as ``repro watch`` installs.
+#: Whether one terminate hangs depends on where its workers are blocked,
+#: so the child tears pools down many times: without the fix each of
+#: five tries hung.
+_SIGTERM_CHILD = """
+import signal
+
+from repro.stream import OnlineClassifier
+from repro.testing.recovery import (
+    WINDOW_SECONDS, synthetic_events, synthetic_state,
+)
+
+signal.signal(signal.SIGTERM, lambda _signum, _frame: None)
+for _ in range(10):
+    online = OnlineClassifier(synthetic_state(), WINDOW_SECONDS, n_workers=2)
+    assert sum(w.n_deltas_applied for w in online.run(synthetic_events(23, 40)))
+"""
+
+
+def _run_session_child(code: str, timeout: float) -> tuple[int, int, str]:
+    """Run ``code`` under fork in a child interpreter leading its own
+    session; kill the whole session if it outlives ``timeout``.
+
+    Returns the child's pid (its session id), exit status and output.
+    """
+    src = os.path.dirname(os.path.dirname(classifier_mod.__file__))
+    env = dict(os.environ, MP_START_METHOD="fork")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(src), env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env=env,
+        start_new_session=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        output, _ = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        output, _ = child.communicate()
+        pytest.fail(f"child did not finish within {timeout}s:\n{output}")
+    return child.pid, child.returncode, output
 
 
 def _session_processes(session: int) -> list[str]:
@@ -519,6 +600,52 @@ class TestNoWorkerOutlivesStream:
         assert stream.failures and stream.complete
         assert multiprocessing.active_children() == []
 
+    def test_durable_watch_closed_mid_run(self, tmp_path):
+        watch = DurableWatch(
+            synthetic_state(), WINDOW_SECONDS, checkpoint_dir=tmp_path,
+            n_workers=2, policy=FAST_RETRY,
+        )
+        windows = watch.run(iter(synthetic_events(23, 80)))
+        next(windows)
+        next(windows)
+        assert multiprocessing.active_children()
+        windows.close()
+        assert multiprocessing.active_children() == []
+
+    def test_durable_watch_consumer_exception(self, tmp_path):
+        watch = DurableWatch(
+            synthetic_state(), WINDOW_SECONDS, checkpoint_dir=tmp_path,
+            n_workers=2, policy=FAST_RETRY,
+        )
+
+        def consume():
+            for count, _window in enumerate(
+                watch.run(iter(synthetic_events(23, 80))), 1
+            ):
+                if count == 2:
+                    raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            consume()
+        assert multiprocessing.active_children() == []
+
+    def test_durable_watch_error_inside_run(self, tmp_path):
+        # The DurabilityError's traceback holds the daemon's frame, and
+        # with it the window generator: only the explicit close in the
+        # daemon's finally reaps the pool while the error is alive.
+        plan = DurabilityFaultPlan(
+            (DurabilityFaultSpec("disk_full", "checkpoint_begin", 0),)
+        )
+        watch = DurableWatch(
+            synthetic_state(), WINDOW_SECONDS, checkpoint_dir=tmp_path,
+            n_workers=2, policy=FailurePolicy(mode="fail_fast"),
+            fault_hook=plan,
+        )
+        with pytest.raises(DurabilityError) as info:
+            list(watch.run(iter(synthetic_events(23, 60))))
+        assert info.value.__traceback__ is not None
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods()
         or not os.path.isdir("/proc/self"),
@@ -536,22 +663,21 @@ class TestNoWorkerOutlivesStream:
         interpreter in some runs, so only fork can assert it never
         starts.
         """
-        src = os.path.dirname(os.path.dirname(classifier_mod.__file__))
-        env = dict(os.environ, MP_START_METHOD="fork")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.dirname(src), env.get("PYTHONPATH")) if p
-        )
-        child = subprocess.Popen(
-            [sys.executable, "-c", _OUTLIVE_CHILD],
-            env=env,
-            start_new_session=True,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        output, _ = child.communicate(timeout=300)
-        assert child.returncode == 0, output
-        assert _session_processes(child.pid) == []
+        session, code, output = _run_session_child(_OUTLIVE_CHILD, timeout=300)
+        assert code == 0, output
+        assert _session_processes(session) == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not os.path.isdir("/proc/self"),
+        reason="needs the fork start method and /proc",
+    )
+    def test_parent_sigterm_handler_does_not_hang_teardown(self):
+        """Fork workers inherit the parent's signal handlers, and
+        ``Pool.terminate()`` stops them with SIGTERM: a handler that
+        does not exit would leave ``terminate()`` waiting forever."""
+        _session, code, output = _run_session_child(_SIGTERM_CHILD, timeout=120)
+        assert code == 0, output
 
 
 class TestWorldIntegration:

@@ -10,17 +10,23 @@ Satellite contracts under test:
 * version-aware pools — a matrix patched *between chunks of one
   stream* must be visible to every later chunk, even when a worker is
   killed and its chunk resubmitted to a rebuilt pool;
+* one pool per watch run — a run starts its pool at the first flow
+  chunk and rebuilds it only when the state version has moved before a
+  chunk, and every way out of the run generator reaps the workers;
 * stream hygiene — timestamp-regression guard, window-aligned flow
   chunking, deterministic merge tie-breaking, per-window manifests.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+import repro.core.classifier as classifier_mod
 from repro.bgp.messages import RouteObservation
 from repro.bgp.rib import GlobalRIB
 from repro.cones.full_cone import FullConeValidSpace
@@ -29,6 +35,8 @@ from repro.core import FailurePolicy
 from repro.ixp.flows import PROTO_TCP, FlowTable, TruthLabel
 from repro.net.addr import addr_to_int
 from repro.net.prefix import Prefix
+from repro.obs.metrics import current_metrics
+from repro.obs.trace import current_tracer, enable_tracing
 from repro.stream import (
     FlowEvent,
     OnlineClassifier,
@@ -378,3 +386,164 @@ class TestVersionAwarePools:
         assert state.classifier.state_version == version  # ignored
         state.apply_route(obs(self.DELTA[0], *self.DELTA[1]))
         assert state.classifier.state_version == version + 1
+
+
+def quiet_windows(n_windows=4, chunks_per_window=2):
+    """Flow-only events: ``n_windows`` windows, no route event."""
+    events = []
+    for window in range(n_windows):
+        for k in range(chunks_per_window):
+            ts = window * WINDOW + 10 * (k + 1)
+            events.append(
+                FlowEvent(
+                    flow_table([("60.0.5.5", 200), ("20.0.0.9", 100)], ts),
+                    ts,
+                )
+            )
+    return events
+
+
+def churning_windows(n_windows=4):
+    """Each window moves the state version, then sends two chunks.
+
+    Windows alternate between announcing and withdrawing a path that
+    adds member 200 to 60.0.0.0/16, so every route event changes the
+    path set (and the labels of the window's rows).
+    """
+    prefix, path = TestVersionAwarePools.DELTA
+    events = []
+    for window in range(n_windows):
+        start = window * WINDOW
+        events.append(
+            RouteEvent(
+                obs(prefix, *path, ts=start + 1, withdrawal=window % 2 == 1)
+            )
+        )
+        for k in range(2):
+            ts = start + 10 * (k + 1)
+            events.append(
+                FlowEvent(flow_table([("60.0.5.5", 200)] * 3, ts), ts)
+            )
+    return events
+
+
+class TestOnePoolPerRun:
+    """A watch run keeps one supervised pool across its windows."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_quiet_run_starts_one_pool(self, method, monkeypatch, clean_obs):
+        monkeypatch.setenv("MP_START_METHOD", method)
+        enable_tracing()
+        state = build_state(base_routes())
+        online = OnlineClassifier(
+            state, WINDOW, n_workers=2, policy=FAST_RETRY, keep_labels=True
+        )
+        windows = list(online.run(quiet_windows()))
+        assert len(windows) == 4
+        assert current_metrics().counter("stream.pool_starts").value == 1
+        starts = [
+            r for r in current_tracer().drain()
+            if r.name == "classify.pool_start"
+        ]
+        assert [r.attrs["reason"] for r in starts] == ["arm"]
+        assert multiprocessing.active_children() == []
+        serial = OnlineClassifier(build_state(base_routes()), WINDOW,
+                                  keep_labels=True)
+        for pooled, inline in zip(windows, serial.run(quiet_windows())):
+            for name in ("naive", "full"):
+                np.testing.assert_array_equal(
+                    pooled.result.label_vector(name),
+                    inline.result.label_vector(name),
+                )
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_rearm_only_when_version_moves_before_a_chunk(
+        self, method, monkeypatch, clean_obs
+    ):
+        # Each window's route event moves the version before its first
+        # chunk. The first move comes before the pool exists, so the run
+        # starts one pool for its first chunk plus one per later move.
+        monkeypatch.setenv("MP_START_METHOD", method)
+        n_windows = 4
+        state = build_state(base_routes())
+        version = state.classifier.state_version
+        online = OnlineClassifier(
+            state, WINDOW, n_workers=2, policy=FAST_RETRY, keep_labels=True
+        )
+        windows = list(online.run(churning_windows(n_windows)))
+        assert [w.n_deltas_applied for w in windows] == [1] * n_windows
+        assert state.classifier.state_version == version + n_windows
+        moves_after_first_chunk = n_windows - 1
+        assert (
+            current_metrics().counter("stream.pool_starts").value
+            == 1 + moves_after_first_chunk
+        )
+        assert multiprocessing.active_children() == []
+        # Every window saw its own delta: labels alternate with it.
+        serial = OnlineClassifier(
+            build_state(base_routes()), WINDOW, keep_labels=True
+        )
+        for pooled, inline in zip(
+            windows, serial.run(churning_windows(n_windows))
+        ):
+            for name in ("naive", "full"):
+                np.testing.assert_array_equal(
+                    pooled.result.label_vector(name),
+                    inline.result.label_vector(name),
+                )
+        assert not np.array_equal(
+            windows[0].result.label_vector("full"),
+            windows[1].result.label_vector("full"),
+        )
+
+    def test_pool_lives_across_windows_until_close(self):
+        state = build_state(base_routes())
+        online = OnlineClassifier(state, WINDOW, n_workers=2)
+        windows = online.run(quiet_windows())
+        first = next(windows)
+        assert first.n_flows == 4
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        next(windows)
+        assert multiprocessing.active_children() == workers
+        windows.close()
+        assert multiprocessing.active_children() == []
+
+    def test_consumer_exception_between_windows_reaps_pool(self):
+        state = build_state(base_routes())
+        online = OnlineClassifier(state, WINDOW, n_workers=2)
+
+        def consume():
+            for _window in online.run(quiet_windows()):
+                raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed") as info:
+            consume()
+        # The traceback keeps the consumer's frame alive; the run's
+        # pool must be gone all the same.
+        assert info.traceback
+        assert multiprocessing.active_children() == []
+
+    def test_abandoned_generator_reaped_on_collection(self):
+        state = build_state(base_routes())
+        online = OnlineClassifier(state, WINDOW, n_workers=2)
+        windows = online.run(quiet_windows())
+        next(windows)
+        assert multiprocessing.active_children()
+        del windows
+        gc.collect()
+        assert multiprocessing.active_children() == []
+
+    def test_parent_stream_globals_untouched_between_windows(self):
+        before = {
+            name: getattr(classifier_mod, name)
+            for name in classifier_mod._STREAM_GLOBALS
+        }
+        state = build_state(base_routes())
+        online = OnlineClassifier(state, WINDOW, n_workers=2)
+        seen = 0
+        for _window in online.run(churning_windows()):
+            seen += 1
+            for name, value in before.items():
+                assert getattr(classifier_mod, name) is value, name
+        assert seen == 4
