@@ -98,9 +98,9 @@ _STREAM_INJECTOR: FaultInjector | None = None
 _STREAM_TRIAGE: "SketchTriageState | None" = None
 
 #: The registry of every mutable module global a pool worker reads:
-#: ``_stream_init`` sets exactly these names, and reprolint rule RL002
-#: rejects any worker that reads an unregistered global. Extending the
-#: worker protocol means extending this tuple.
+#: ``_stream_init`` sets exactly these names, and reprolint rule RL203
+#: rejects any pool submit whose worker reads an unregistered global.
+#: Extending the worker protocol means extending this tuple.
 _STREAM_GLOBALS = (
     "_STREAM_CLASSIFIER",
     "_STREAM_TABLE",

@@ -182,6 +182,11 @@ class Tracer:
 #: the pool initializer (see ``repro.core.classifier._stream_init``).
 _TRACER = Tracer(enabled=False)
 
+#: Worker-read mutable globals of this module (reprolint RL203): pool
+#: workers read ``_TRACER``, and the classifier's pool initializer
+#: re-arms it through :func:`enable_tracing` (reprolint RL003).
+_STREAM_GLOBALS = ("_TRACER",)
+
 
 def current_tracer() -> Tracer:
     """The ambient tracer instrumentation records into."""

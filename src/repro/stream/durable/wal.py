@@ -15,15 +15,17 @@ anywhere in the record is detected. ``kind`` selects the payload
 encoding:
 
 * ``1`` — a :class:`~repro.stream.events.RouteEvent`, pickled in-band;
-* ``2`` — a :class:`~repro.stream.events.FlowEvent`, pickled in-band
-  (legacy; still replayable);
-* ``3`` — a flow event framed *out-of-band*: a small index
+* ``3`` — a :class:`~repro.stream.events.FlowEvent` framed
+  *out-of-band*: a small index
   (``u32 skeleton_len | u32 n_buffers | u64 buffer_len…``) followed by
   the pickle-protocol-5 skeleton and the raw flow-column buffers. The
   writer streams each column's memory straight into the segment file —
   no in-band pickle copy of megabytes of flow data is ever
   materialised, which keeps the append path's GIL footprint small
   enough that WAL I/O genuinely overlaps window classification.
+
+Any other kind in a checksum-valid record (``2`` included: no writer
+ever produced it) raises :class:`~repro.errors.WalCorruptionError`.
 
 **Segments.** Records append to ``wal-<first_seq>.log`` files;
 once a segment passes ``segment_bytes`` the writer fsyncs and rotates
@@ -61,7 +63,6 @@ DEFAULT_SEGMENT_BYTES = 32 * 1024 * 1024
 _HEADER = struct.Struct("<QBII")
 
 _KIND_ROUTE = 1
-_KIND_FLOW = 2
 _KIND_FLOW_OOB = 3
 
 #: Index prefix of an out-of-band payload: skeleton length, buffer
@@ -342,7 +343,7 @@ def _read_record(
     want = zlib.crc32(payload, zlib.crc32(struct.pack("<QBI", seq, kind, length)))
     if crc != want:
         return None
-    if kind not in (_KIND_ROUTE, _KIND_FLOW, _KIND_FLOW_OOB):
+    if kind not in (_KIND_ROUTE, _KIND_FLOW_OOB):
         raise WalCorruptionError(
             f"unknown WAL record kind {kind}", path=str(segment), seq=seq
         )

@@ -18,7 +18,6 @@ from repro.testing.faults import (
 )
 from repro.testing.sanitizer import (
     ConcurrencySanitizer,
-    FsyncProtocolSanitizer,
     LockOrderSanitizer,
     SanitizerError,
     ThreadAccessTracer,
@@ -30,7 +29,6 @@ __all__ = [
     "DurabilityFaultSpec",
     "FaultPlan",
     "FaultSpec",
-    "FsyncProtocolSanitizer",
     "InjectedCorruption",
     "InjectedCrash",
     "InjectedFault",

@@ -1,15 +1,11 @@
 """Runtime concurrency sanitizers: verify dynamically what reprolint
 claims statically.
 
-The RL2xx rules reason about call graphs; these three monitors check
-the same contracts against what actually executes, so a rule gap (an
-edge the static model cannot see) still gets caught in CI:
+The RL2xx/RL3xx rules reason about call graphs and CFGs; these three
+monitors check the same contracts against what actually executes, so a
+rule gap (an edge the static model cannot see) still gets caught in
+CI:
 
-* :class:`FsyncProtocolSanitizer` interposes ``os.fsync`` /
-  ``os.replace`` / ``os.rename`` and asserts the atomic-write dance:
-  any ``<name>.<pid>.tmp`` file promoted onto its final name must
-  have been fsynced first (advisory targets like the watch cursor are
-  exempt, mirroring ``atomic_write_*(durable=False)``).
 * :class:`LockOrderSanitizer` interposes ``threading.Lock`` /
   ``threading.RLock`` creation for locks born in monitored code,
   records the acquisition-order graph by creation site (the lockdep
@@ -23,19 +19,21 @@ edge the static model cannot see) still gets caught in CI:
   ``_CONCURRENCY_CONTRACT`` (the same declarations reprolint RL201
   trusts): an attribute written by a thread the contract does not
   name, or shared without any declaration, is a violation.
+* :class:`ProtocolSanitizer` asserts the resource protocols at
+  runtime: the ``wal-commit`` ordering RL302 checks statically (any
+  ``<name>.<pid>.tmp`` promoted onto its final name must have been
+  fsynced first, and no checkpoint may outrun any live
+  :class:`~repro.stream.durable.wal.WalWriter`'s synced prefix), plus
+  the runtime-only ``supervised-pool`` check (no submit to a drained
+  pool). It mirrors the specs declared in
+  ``tools/reprolint/protocols.py`` *by name* (``src`` must not import
+  ``tools``); ``tests/test_sanitizer.py`` keeps the two tables
+  aligned.
 
-* :class:`ProtocolSanitizer` asserts the RL3xx resource protocols —
-  checkpoint-never-outruns-the-log ordering against every live
-  :class:`~repro.stream.durable.wal.WalWriter`, and no submit to a
-  drained pool — at runtime. It mirrors the machines
-  declared in ``tools/reprolint/protocols.py`` *by name* (``src``
-  must not import ``tools``); ``tests/test_sanitizer.py`` keeps the
-  two tables aligned.
-
-All four are opt-in (the ``REPRO_SANITIZE=1`` pytest fixture in
+All three are opt-in (the ``REPRO_SANITIZE=1`` pytest fixture in
 ``tests/conftest.py``) and report through
 :meth:`ConcurrencySanitizer.violations` so a failing run can attach
-the lock graph and access trace as artifacts.
+the lock graph, access trace and protocol violations as artifacts.
 """
 
 from __future__ import annotations
@@ -46,13 +44,12 @@ import pathlib
 import sys
 import threading
 import weakref
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ReproError
 
 __all__ = [
     "ConcurrencySanitizer",
-    "FsyncProtocolSanitizer",
     "LockOrderSanitizer",
     "ProtocolSanitizer",
     "SanitizerError",
@@ -90,84 +87,6 @@ def _path_identity(path: "str | os.PathLike[str]") -> tuple[int, int] | None:
     except OSError:
         return None
     return (stat.st_dev, stat.st_ino)
-
-
-class FsyncProtocolSanitizer:
-    """Interpose the rename syscalls and enforce fsync-before-rename."""
-
-    def __init__(self, advisory: frozenset[str] = ADVISORY_BASENAMES) -> None:
-        self.advisory = advisory
-        self.violations: list[dict[str, Any]] = []
-        self._fsynced: set[tuple[int, int]] = set()
-        self._real_fsync: Callable[[int], None] | None = None
-        self._real_replace: Any = None
-        self._real_rename: Any = None
-        self._guard = threading.Lock()
-
-    def install(self) -> None:
-        """Patch ``os.fsync``/``os.replace``/``os.rename`` in place."""
-        if self._real_fsync is not None:
-            return
-        self._real_fsync = os.fsync
-        self._real_replace = os.replace
-        self._real_rename = os.rename
-        os.fsync = self._fsync  # type: ignore[assignment]
-        os.replace = self._replace  # type: ignore[assignment]
-        os.rename = self._rename  # type: ignore[assignment]
-
-    def uninstall(self) -> None:
-        """Restore the original syscall bindings."""
-        if self._real_fsync is None:
-            return
-        os.fsync = self._real_fsync  # type: ignore[assignment]
-        os.replace = self._real_replace
-        os.rename = self._real_rename
-        self._real_fsync = None
-
-    def _fsync(self, fd: int) -> None:
-        assert self._real_fsync is not None
-        self._real_fsync(fd)
-        identity = _fd_identity(fd)
-        if identity is not None:
-            with self._guard:
-                self._fsynced.add(identity)
-
-    def _enforced(self, src: Any, dst: Any) -> bool:
-        """Only renames matching the atomic-write signature are checked:
-        ``<final-name>.<pid>.tmp`` promoted onto ``<final-name>``."""
-        src_name = pathlib.Path(os.fspath(src)).name
-        dst_name = pathlib.Path(os.fspath(dst)).name
-        if not src_name.endswith(".tmp"):
-            return False
-        if not src_name.startswith(dst_name + "."):
-            return False
-        return dst_name not in self.advisory
-
-    def _check(self, kind: str, src: Any, dst: Any) -> None:
-        if not self._enforced(src, dst):
-            return
-        identity = _path_identity(src)
-        with self._guard:
-            fsynced = identity is not None and identity in self._fsynced
-            if identity is not None:
-                self._fsynced.discard(identity)
-        if not fsynced:
-            self.violations.append(
-                {
-                    "kind": f"{kind}-without-fsync",
-                    "src": os.fspath(src),
-                    "dst": os.fspath(dst),
-                    "thread": threading.current_thread().name,
-                }
-            )
-
-    def _replace(self, src: Any, dst: Any, **kwargs: Any) -> None:
-        self._check("replace", src, dst)
-        self._real_replace(src, dst, **kwargs)
-
-    def _rename(self, src: Any, dst: Any, **kwargs: Any) -> None:
-        self._check("rename", src, dst)
-        self._real_rename(src, dst, **kwargs)
 
 
 class _TracedLock:
@@ -504,31 +423,43 @@ _POOL_SUBMIT_METHODS = (
 
 
 class ProtocolSanitizer:
-    """Assert the RL3xx resource protocols against what executes.
+    """Assert the resource protocols against what executes.
 
-    Runtime mirror of the machines in ``tools/reprolint/protocols.py``
+    Runtime mirror of the specs in ``tools/reprolint/protocols.py``
     (matched by :attr:`PROTOCOL_NAMES`; ``src`` must not import
     ``tools``):
 
-    * **wal-commit** — wraps
-      :meth:`~repro.stream.durable.checkpoint.CheckpointStore.save`:
-      a checkpoint claiming ``last_seq`` that any live
-      :class:`~repro.stream.durable.wal.WalWriter` has appended but
-      not yet fsynced means the checkpoint outran the log.
-    * **supervised-pool** — wraps the ``multiprocessing.pool.Pool``
-      submit surface: a submit to a pool that is no longer running
-      (terminated/closed) is a violation, recorded *before* the
-      stdlib's own late error.
+    * **wal-commit** — the two halves of commit ordering:
+
+      - interposes ``os.fsync`` / ``os.replace`` / ``os.rename``: a
+        file matching the atomic-write signature
+        (``<final-name>.<pid>.tmp`` promoted onto ``<final-name>``)
+        must have been fsynced before the rename
+        (``replace-without-fsync`` / ``rename-without-fsync``).
+        Advisory targets like the watch cursor are exempt, mirroring
+        ``atomic_write_*(durable=False)``;
+      - wraps
+        :meth:`~repro.stream.durable.checkpoint.CheckpointStore.save`:
+        a checkpoint claiming ``last_seq`` that any live
+        :class:`~repro.stream.durable.wal.WalWriter` has appended but
+        not yet fsynced means the checkpoint outran the log.
+    * **supervised-pool** (runtime only; no static rule) — wraps the
+      ``multiprocessing.pool.Pool`` submit surface: a submit to a pool
+      that is no longer running (terminated/closed) is a violation,
+      recorded *before* the stdlib's own late error.
     """
 
-    #: Protocol machines this monitor mirrors, by the names declared
-    #: in ``tools/reprolint/protocols.py`` (parity-tested).
+    #: Protocols this monitor checks, by the names declared in
+    #: ``tools/reprolint/protocols.py`` (parity-tested); every static
+    #: spec has a runtime mirror here.
     PROTOCOL_NAMES = ("wal-commit", "supervised-pool")
 
     def __init__(self) -> None:
         self.violations: list[dict[str, Any]] = []
         self._guard = threading.Lock()
         self._writers: "weakref.WeakSet[Any]" = weakref.WeakSet()
+        #: (dev, inode) of files fsynced since their last rename.
+        self._fsynced: set[tuple[int, int]] = set()
         #: (owner, attribute, original) undone in reverse at uninstall.
         self._patches: list[tuple[Any, str, Any]] = []
 
@@ -539,8 +470,8 @@ class ProtocolSanitizer:
         setattr(owner, name, replacement)
 
     def install(self) -> None:
-        """Wrap WalWriter/CheckpointStore and the pool submit surface
-        (idempotent)."""
+        """Wrap the fsync/rename syscalls, WalWriter/CheckpointStore
+        and the pool submit surface (idempotent)."""
         if self._patches:
             return
         import multiprocessing.pool as mp_pool
@@ -549,6 +480,31 @@ class ProtocolSanitizer:
         from repro.stream.durable import wal as wal_mod
 
         sanitizer = self
+        real_fsync = os.fsync
+
+        def fsync(fd: int) -> None:
+            real_fsync(fd)
+            identity = _fd_identity(fd)
+            if identity is not None:
+                with sanitizer._guard:
+                    sanitizer._fsynced.add(identity)
+
+        self._patch(os, "fsync", fsync)
+        for kind in ("replace", "rename"):
+            real_move = getattr(os, kind)
+
+            def move(
+                src: Any,
+                dst: Any,
+                *,
+                _real: Any = real_move,
+                _kind: str = kind,
+                **kwargs: Any,
+            ) -> None:
+                sanitizer._check_rename(_kind, src, dst)
+                _real(src, dst, **kwargs)
+
+            self._patch(os, kind, move)
         real_writer_init = wal_mod.WalWriter.__init__
 
         def writer_init(writer: Any, *args: Any, **kwargs: Any) -> None:
@@ -597,6 +553,33 @@ class ProtocolSanitizer:
 
     # -- the wal-commit machine ---------------------------------------
 
+    def _enforced(self, src: Any, dst: Any) -> bool:
+        """Only renames matching the atomic-write signature are checked:
+        ``<final-name>.<pid>.tmp`` promoted onto ``<final-name>``."""
+        src_name = pathlib.Path(os.fspath(src)).name
+        dst_name = pathlib.Path(os.fspath(dst)).name
+        if not src_name.endswith(".tmp"):
+            return False
+        if not src_name.startswith(dst_name + "."):
+            return False
+        return dst_name not in ADVISORY_BASENAMES
+
+    def _check_rename(self, kind: str, src: Any, dst: Any) -> None:
+        if not self._enforced(src, dst):
+            return
+        identity = _path_identity(src)
+        with self._guard:
+            fsynced = identity is not None and identity in self._fsynced
+            if identity is not None:
+                self._fsynced.discard(identity)
+        if not fsynced:
+            self._violate(
+                "wal-commit",
+                kind=f"{kind}-without-fsync",
+                src=os.fspath(src),
+                dst=os.fspath(dst),
+            )
+
     def _check_save(self, last_seq: Any) -> None:
         if not isinstance(last_seq, int) or last_seq <= 0:
             return
@@ -637,17 +620,15 @@ class ProtocolSanitizer:
 
 
 class ConcurrencySanitizer:
-    """The four monitors behind one install/uninstall/report façade."""
+    """The three monitors behind one install/uninstall/report façade."""
 
     def __init__(self) -> None:
-        self.fsync = FsyncProtocolSanitizer()
         self.locks = LockOrderSanitizer()
         self.tracer = ThreadAccessTracer()
         self.protocols = ProtocolSanitizer()
 
     def install(self) -> None:
-        """Arm the syscall, lock-factory and protocol interpositions."""
-        self.fsync.install()
+        """Arm the lock-factory and protocol interpositions."""
         self.locks.install()
         self.protocols.install()
 
@@ -655,20 +636,18 @@ class ConcurrencySanitizer:
         """Restore every patched binding."""
         self.protocols.uninstall()
         self.locks.uninstall()
-        self.fsync.uninstall()
 
     def violations(self) -> list[dict[str, Any]]:
         """All violations across the monitors (checks contracts)."""
         self.tracer.assert_contracts()
         return (
-            list(self.fsync.violations)
-            + list(self.locks.violations)
+            list(self.locks.violations)
             + list(self.tracer.violations)
             + list(self.protocols.violations)
         )
 
     def write_artifacts(self, directory: "str | pathlib.Path") -> None:
-        """Dump the lock graph, access trace, and fsync violations."""
+        """Dump the lock graph, access trace, and protocol violations."""
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "lock_order_graph.json").write_text(
@@ -676,9 +655,6 @@ class ConcurrencySanitizer:
         )
         (directory / "thread_access_trace.json").write_text(
             json.dumps(self.tracer.trace_json(), indent=2) + "\n"
-        )
-        (directory / "fsync_violations.json").write_text(
-            json.dumps(list(self.fsync.violations), indent=2) + "\n"
         )
         (directory / "protocol_violations.json").write_text(
             json.dumps(self.protocols.protocol_json(), indent=2) + "\n"

@@ -81,3 +81,19 @@ class TestWatchResumeFromUnreadableState:
         append_raw_wal_record(tmp_path / WAL_SUBDIR, 1, self.PAYLOAD)
         assert self._resume(tmp_path) == 4
         assert "unrecoverable WAL state" in capsys.readouterr().err
+
+    def test_wal_kind_2_record_exits_4(self, tmp_path, capsys):
+        import pickle
+
+        from repro.stream.durable.daemon import WAL_SUBDIR
+        from repro.testing.recovery import synthetic_events
+
+        flow = next(
+            e for e in synthetic_events(5, 40) if type(e).__name__ == "FlowEvent"
+        )
+        (tmp_path / WAL_SUBDIR).mkdir()
+        append_raw_wal_record(
+            tmp_path / WAL_SUBDIR, 1, pickle.dumps(flow), kind=2
+        )
+        assert self._resume(tmp_path) == 4
+        assert "unknown WAL record kind 2" in capsys.readouterr().err

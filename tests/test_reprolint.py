@@ -16,7 +16,7 @@ import textwrap
 
 import pytest
 
-from tools import check_doc_links, docstring_gate, type_coverage
+from tools import type_coverage
 from tools.reprolint.baseline import Baseline, write_baseline
 from tools.reprolint.checks._astutil import import_map, resolve_call_name
 from tools.reprolint.context import LintConfig
@@ -128,59 +128,6 @@ def test_rl001_inline_disable_records_suppression(tmp_path):
     (finding,) = findings
     assert finding.suppressed == "inline"
     assert not finding.active
-
-
-# ---------------------------------------------------------------- RL002
-
-
-RL002_BAD = """\
-    _CACHE = None
-
-    def _worker(item):
-        return (_CACHE, item)
-
-    def fan_out(pool, items):
-        global _CACHE
-        _CACHE = {}
-        return pool.imap(_worker, items)
-    """
-
-
-def test_rl002_fires_without_registry(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {"src/repro/util/stream.py": RL002_BAD},
-        select={"RL002"},
-    )
-    (finding,) = active(findings)
-    assert finding.rule == "RL002"
-    assert "_CACHE" in finding.message
-    assert "defines no _STREAM_GLOBALS" in finding.message
-
-
-def test_rl002_quiet_when_global_registered(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/repro/util/stream.py": '_STREAM_GLOBALS = ("_CACHE",)\n'
-            + textwrap.dedent(RL002_BAD),
-        },
-        select={"RL002"},
-    )
-    assert active(findings) == []
-
-
-def test_rl002_fires_when_registry_incomplete(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/repro/util/stream.py": '_STREAM_GLOBALS = ("_OTHER",)\n'
-            + textwrap.dedent(RL002_BAD),
-        },
-        select={"RL002"},
-    )
-    (finding,) = active(findings)
-    assert "not listed in _STREAM_GLOBALS" in finding.message
 
 
 # ---------------------------------------------------------------- RL003
@@ -580,6 +527,8 @@ def test_rl101_fires_below_docstring_threshold(tmp_path):
     assert finding.rule == "RL101"
     assert finding.path == "src/repro/bare/__init__.py"
     assert "docstring coverage" in finding.message
+    assert "src/repro/bare/__init__.py::alpha" in finding.message
+    assert "src/repro/bare/__init__.py::beta" in finding.message
 
 
 def test_rl101_quiet_when_documented(tmp_path):
@@ -639,6 +588,49 @@ def test_rl102_quiet_when_references_resolve(tmp_path):
         select={"RL102"},
     )
     assert active(findings) == []
+
+
+def test_rl102_tags_each_broken_reference_category(tmp_path):
+    findings, _ = lint(
+        tmp_path,
+        {
+            "docs/GUIDE.md": textwrap.dedent(
+                """\
+                # Guide
+
+                [gone](missing.md), [nowhere](#no-such-heading) and
+                `src/repro/no_such_module.py`.
+                """
+            ),
+        },
+        inputs=("docs",),
+        select={"RL102"},
+    )
+    tags = sorted(f.message.rsplit(" ", 1)[1] for f in active(findings))
+    assert tags == ["[anchor]", "[code-ref]", "[link]"]
+
+
+def test_rl102_checks_only_markdown_among_the_inputs(tmp_path):
+    """A root ``.md`` that is not a lint input (a scratch note) may
+    name files that no longer exist."""
+    (tmp_path / "NOTES.md").write_text(
+        "# Notes\n\nDelete `tools/gone_gate.py`.\n"
+    )
+    findings, meta = lint(
+        tmp_path,
+        {"docs/GUIDE.md": "# Guide\n"},
+        inputs=("docs",),
+        select={"RL102"},
+    )
+    assert active(findings) == []
+    assert meta["markdown_scanned"] == 1
+
+    findings, _ = lint(
+        tmp_path, {}, inputs=("docs", "NOTES.md"), select={"RL102"}
+    )
+    (finding,) = active(findings)
+    assert finding.path == "NOTES.md"
+    assert "tools/gone_gate.py" in finding.message
 
 
 # ------------------------------------------------------- parse failures
@@ -818,7 +810,6 @@ def test_rule_inventory_is_complete():
     rules = {rule for rule, _ in all_rules()}
     assert rules == {
         "RL001",
-        "RL002",
         "RL003",
         "RL004",
         "RL005",
@@ -831,9 +822,7 @@ def test_rule_inventory_is_complete():
         "RL201",
         "RL202",
         "RL203",
-        "RL204",
         "RL302",
-        "RL303",
         "RL304",
         "RL305",
     }
@@ -852,39 +841,7 @@ def test_resolve_call_name_traces_context_pools():
     )
 
 
-# ------------------------------------------- companion tools' exit codes
-
-
-def test_doc_link_exit_codes_are_distinct_per_category(tmp_path):
-    def issue(category):
-        return check_doc_links.LinkIssue(category, tmp_path, 1, "x")
-
-    assert check_doc_links.exit_code_for([]) == 0
-    assert check_doc_links.exit_code_for(
-        [issue(check_doc_links.CATEGORY_LINK)]
-    ) == check_doc_links.EXIT_BROKEN_LINKS
-    assert check_doc_links.exit_code_for(
-        [issue(check_doc_links.CATEGORY_ANCHOR)]
-    ) == check_doc_links.EXIT_BROKEN_ANCHORS
-    assert check_doc_links.exit_code_for(
-        [issue(check_doc_links.CATEGORY_CODE_REF)]
-    ) == check_doc_links.EXIT_DANGLING_CODE_REFS
-    assert check_doc_links.exit_code_for(
-        [
-            issue(check_doc_links.CATEGORY_LINK),
-            issue(check_doc_links.CATEGORY_ANCHOR),
-        ]
-    ) == check_doc_links.EXIT_MULTIPLE
-
-
-def test_docstring_gate_exit_codes_are_distinct():
-    codes = {
-        docstring_gate.EXIT_OK,
-        docstring_gate.EXIT_NO_FILES,
-        docstring_gate.EXIT_BELOW_THRESHOLD,
-        docstring_gate.EXIT_MISSING_REQUIRED,
-    }
-    assert codes == {0, 2, 3, 4}
+# ------------------------------------------------ annotation floor
 
 
 def test_type_coverage_counts_and_gates(tmp_path):
@@ -1157,61 +1114,95 @@ def test_rl203_fires_on_unregistered_cross_module_global(tmp_path):
     assert active(findings) == []
 
 
-def test_rl204_fires_on_rename_without_fsync_in_durable_scope(tmp_path):
+#: A worker reading a ``global``-rebound module global of its own
+#: module, submitted from that module.
+SAME_MODULE_WORKER = """\
+    _CACHE = None
+
+    def _worker(item):
+        return (_CACHE, item)
+
+    def fan_out(pool, items):
+        global _CACHE
+        _CACHE = {}
+        return pool.imap(_worker, items)
+    """
+
+
+def test_rl203_fires_on_same_module_worker_without_registry(tmp_path):
     findings, _ = lint(
         tmp_path,
-        {
-            "src/repro/stream/durable/writer.py": """\
-            import os
-
-            def commit(tmp, path):
-                os.replace(tmp, path)
-            """
-        },
-        select=["RL204"],
+        {"src/repro/util/stream.py": SAME_MODULE_WORKER},
+        select={"RL203"},
     )
-    assert [f.rule for f in active(findings)] == ["RL204"]
-    assert "os.replace" in active(findings)[0].message
+    (finding,) = active(findings)
+    assert finding.rule == "RL203"
+    assert "_CACHE" in finding.message
+    assert "defines no _STREAM_GLOBALS" in finding.message
+    assert "pool initializer must set" in finding.message
 
 
-def test_rl204_quiet_with_fsync_direct_or_via_callee(tmp_path):
+def test_rl203_quiet_when_same_module_global_registered(tmp_path):
     findings, _ = lint(
         tmp_path,
         {
-            "src/repro/stream/durable/writer.py": """\
-            import os
-
-            def _sync(fd):
-                os.fsync(fd)
-
-            def commit_direct(tmp, path, fd):
-                os.fsync(fd)
-                os.replace(tmp, path)
-
-            def commit_via_helper(tmp, path, fd):
-                _sync(fd)
-                os.replace(tmp, path)
-            """
+            "src/repro/util/stream.py": '_STREAM_GLOBALS = ("_CACHE",)\n'
+            + textwrap.dedent(SAME_MODULE_WORKER),
         },
-        select=["RL204"],
-    )
-    assert active(findings) == []
-
-
-def test_rl204_quiet_outside_durable_scope(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            import os
-
-            def shuffle(tmp, path):
-                os.replace(tmp, path)
-            """
-        },
-        select=["RL204"],
+        select={"RL203"},
     )
     assert active(findings) == []
+
+
+def test_rl203_fires_when_same_module_registry_incomplete(tmp_path):
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/repro/util/stream.py": '_STREAM_GLOBALS = ("_OTHER",)\n'
+            + textwrap.dedent(SAME_MODULE_WORKER),
+        },
+        select={"RL203"},
+    )
+    (finding,) = active(findings)
+    assert "not listed in repro.util.stream's _STREAM_GLOBALS" in (
+        finding.message
+    )
+
+
+def test_rl203_fires_on_same_module_worker_reaching_foreign_global(
+    tmp_path,
+):
+    """The worker lives beside the submit, but its call tree reads an
+    unregistered global of another module."""
+    files = {
+        "src/app.py": """\
+        import multiprocessing
+
+        from state import lookup
+
+        def _worker(row):
+            return lookup(row)
+
+        def run():
+            with multiprocessing.get_context("spawn").Pool(2) as pool:
+                pool.apply_async(_worker, args=(1,))
+        """,
+        "src/state.py": """\
+        TABLE = {}
+
+        def load(snapshot):
+            global TABLE
+            TABLE = snapshot
+
+        def lookup(row):
+            return TABLE.get(row)
+        """,
+    }
+    findings, _ = lint(tmp_path, files, select=["RL203"])
+    (finding,) = active(findings)
+    assert finding.path == "src/app.py"
+    assert "_worker reaches lookup() in state" in finding.message
+    assert "TABLE" in finding.message
 
 
 # --------------------------------------------- RL3xx: dataflow rules
@@ -1222,30 +1213,6 @@ COMMIT_NO_FSYNC = """\
 
     def commit(tmp, path):
         os.replace(tmp, path)
-    """
-
-POOL_STALE = """\
-    from pools import make_pool
-
-    def drive(worker, chunks):
-        pool = make_pool(4)
-        try:
-            pool.imap(worker, chunks)
-        finally:
-            pool.terminate()
-            pool.join()
-    """
-
-POOL_LEAK = """\
-    from pools import make_pool
-
-    def drive(worker, chunks):
-        pool = make_pool(4)
-        armed_version = 1
-        results = pool.map(worker, chunks)
-        pool.terminate()
-        pool.join()
-        return results
     """
 
 DTYPE_ROUNDTRIP = """\
@@ -1272,7 +1239,6 @@ RL3XX_FIRES = {
         {"src/repro/stream/durable/writer.py": COMMIT_NO_FSYNC},
         "os.replace(tmp, path)",
     ),
-    "RL303": ({"src/app.py": POOL_STALE}, "pool.imap(worker, chunks)"),
     "RL304": (
         {"src/repro/core/kernel.py": DTYPE_ROUNDTRIP},
         "return acc.astype(np.int64)",
@@ -1282,6 +1248,58 @@ RL3XX_FIRES = {
         "return np.concatenate([a, b], axis=0)",
     ),
 }
+
+
+def test_rl302_fires_on_rename_without_fsync_in_durable_scope(tmp_path):
+    findings, _ = lint(
+        tmp_path,
+        {"src/repro/stream/durable/writer.py": COMMIT_NO_FSYNC},
+        select=["RL302"],
+    )
+    assert [f.rule for f in active(findings)] == ["RL302"]
+    assert "os.replace" in active(findings)[0].message
+
+
+def test_rl302_quiet_with_fsync_direct_or_via_callee(tmp_path):
+    """A helper whose call tree fsyncs grants the fsync effect at its
+    call site."""
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/repro/stream/durable/writer.py": """\
+            import os
+
+            def _sync(fd):
+                os.fsync(fd)
+
+            def commit_direct(tmp, path, fd):
+                os.fsync(fd)
+                os.replace(tmp, path)
+
+            def commit_via_helper(tmp, path, fd):
+                _sync(fd)
+                os.replace(tmp, path)
+            """
+        },
+        select=["RL302"],
+    )
+    assert active(findings) == []
+
+
+def test_rl302_quiet_outside_durable_scope(tmp_path):
+    findings, _ = lint(
+        tmp_path,
+        {
+            "src/app.py": """\
+            import os
+
+            def shuffle(tmp, path):
+                os.replace(tmp, path)
+            """
+        },
+        select=["RL302"],
+    )
+    assert active(findings) == []
 
 
 def test_rl302_fires_on_partially_synced_branch(tmp_path):
@@ -1344,215 +1362,6 @@ def test_rl302_quiet_when_all_paths_sync_or_are_exempt(tmp_path):
         select=["RL302"],
     )
     assert active(findings) == []
-
-
-def test_rl303_fires_on_submit_to_drained_pool(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from pools import make_pool
-
-            def drive(worker, chunks):
-                pool = make_pool(4)
-                armed_version = 1
-                try:
-                    pool.imap(worker, chunks)
-                    pool.terminate()
-                    pool.join()
-                    pool.imap(worker, chunks)
-                finally:
-                    pool.terminate()
-            """
-        },
-        select=["RL303"],
-    )
-    assert [f.rule for f in active(findings)] == ["RL303"]
-    assert "drained pool" in active(findings)[0].message
-
-
-def test_rl303_fires_on_submit_before_version_rearm(tmp_path):
-    findings, _ = lint(tmp_path, {"src/app.py": POOL_STALE}, select=["RL303"])
-    assert [f.rule for f in active(findings)] == ["RL303"]
-    assert "version" in active(findings)[0].message
-
-
-def test_rl303_quiet_with_version_rearm(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from pools import make_pool
-
-            def drive(worker, chunks):
-                pool = make_pool(4)
-                armed_version = 1
-                try:
-                    pool.imap(worker, chunks)
-                finally:
-                    pool.terminate()
-                    pool.join()
-
-            def staged(worker, chunks, version):
-                armed_version = version
-                pool = make_pool(4)
-                try:
-                    pool.imap(worker, chunks)
-                finally:
-                    pool.terminate()
-                    pool.join()
-            """
-        },
-        select=["RL303"],
-    )
-    assert active(findings) == []
-
-
-def test_rl303_fires_on_leak_along_exception_path(tmp_path):
-    findings, _ = lint(tmp_path, {"src/app.py": POOL_LEAK}, select=["RL303"])
-    assert [f.rule for f in active(findings)] == ["RL303"]
-    assert "exception path" in active(findings)[0].message
-    assert active(findings)[0].line == 4  # the factory call
-
-
-def test_rl303_fires_on_join_of_running_pool(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from pools import make_pool
-
-            def drive(worker, chunks):
-                pool = make_pool(4)
-                armed_version = 1
-                try:
-                    results = pool.map(worker, chunks)
-                    pool.join()
-                finally:
-                    pool.terminate()
-                return results
-            """
-        },
-        select=["RL303"],
-    )
-    assert [f.rule for f in active(findings)] == ["RL303"]
-    assert "join() on a running pool" in active(findings)[0].message
-
-
-def test_rl303_fires_on_use_after_drain(tmp_path):
-    """Handing a drained pool to a helper is a submit on its behalf."""
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from pools import make_pool, submit
-
-            def drive(worker, chunks):
-                pool = make_pool(4)
-                armed_version = 1
-                try:
-                    first = pool.map(worker, chunks)
-                finally:
-                    pool.terminate()
-                    pool.join()
-                return first, submit(pool, chunks)
-            """
-        },
-        select=["RL303"],
-    )
-    assert [f.rule for f in active(findings)] == ["RL303"]
-    assert "drained pool" in active(findings)[0].message
-
-
-def test_rl303_quiet_with_exception_path_drain(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from pools import make_pool
-
-            def drive(worker, chunks):
-                pool = make_pool(4)
-                armed_version = 1
-                try:
-                    results = pool.map(worker, chunks)
-                except BaseException:
-                    pool.terminate()
-                    raise
-                pool.close()
-                pool.join()
-                return results
-            """
-        },
-        select=["RL303"],
-    )
-    assert active(findings) == []
-
-
-def test_rl303_quiet_on_none_guarded_finally(tmp_path):
-    """The supervisor's shape: the pool name starts as ``None`` and the
-    ``finally`` drains it only when set — the ``is not None`` false
-    edge holds no pool."""
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            from pools import make_pool
-
-            def drive(worker, chunks):
-                pool = None
-                try:
-                    pool = make_pool(4)
-                    armed_version = 1
-                    return pool.map(worker, chunks)
-                finally:
-                    if pool is not None:
-                        pool.terminate()
-                        pool.join()
-            """
-        },
-        select=["RL303"],
-    )
-    assert active(findings) == []
-
-
-def test_rl303_quiet_when_helper_drains_interprocedurally(tmp_path):
-    """``shutdown(pool)`` counts as a drain because the program index
-    proves shutdown() terminates its first parameter."""
-    app = """\
-        from helpers import shutdown
-        from pools import make_pool
-
-        def drive(worker, chunks):
-            pool = make_pool(4)
-            armed_version = 1
-            try:
-                return pool.map(worker, chunks)
-            finally:
-                shutdown(pool)
-        """
-    draining = """\
-        def shutdown(pool):
-            pool.terminate()
-            pool.join()
-        """
-    findings, _ = lint(
-        tmp_path,
-        {"src/helpers.py": draining, "src/app.py": app},
-        select=["RL303"],
-    )
-    assert active(findings) == []
-    # A same-named helper that never drains proves nothing.
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/helpers.py": "def shutdown(pool):\n    return pool\n",
-            "src/app.py": app,
-        },
-        select=["RL303"],
-    )
-    assert [f.rule for f in active(findings)] == ["RL303"]
-    assert "exception path" in active(findings)[0].message
 
 
 def test_rl304_fires_on_float64_roundtrip_of_integer_data(tmp_path):
@@ -1702,17 +1511,17 @@ def test_protocol_digest_changes_the_cache_key(tmp_path, monkeypatch):
     from tools.reprolint import cache as cache_mod
 
     cache_path = tmp_path / "cache.json"
-    source = tmp_path / "src" / "app.py"
+    source = tmp_path / "src" / "repro" / "stream" / "durable" / "writer.py"
     source.parent.mkdir(parents=True)
-    source.write_text(textwrap.dedent(POOL_STALE))
+    source.write_text(textwrap.dedent(COMMIT_NO_FSYNC))
 
     run(
-        tmp_path, ["src"], select=frozenset({"RL303"}),
+        tmp_path, ["src"], select=frozenset({"RL302"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
     _, meta = run(
-        tmp_path, ["src"], select=frozenset({"RL303"}),
+        tmp_path, ["src"], select=frozenset({"RL302"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
@@ -1722,7 +1531,7 @@ def test_protocol_digest_changes_the_cache_key(tmp_path, monkeypatch):
         cache_mod, "protocols_digest", lambda: "edited-protocol-table"
     )
     _, meta = run(
-        tmp_path, ["src"], select=frozenset({"RL303"}),
+        tmp_path, ["src"], select=frozenset({"RL302"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
@@ -1875,9 +1684,7 @@ def test_all_gates_composite_exit_and_json(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads(out.read_text())
     names = [gate["name"] for gate in report["gates"]]
-    assert names == [
-        "reprolint", "mypy", "type-coverage", "docstrings", "doc-links"
-    ]
+    assert names == ["reprolint", "mypy", "type-coverage"]
     assert all(
         gate["status"] in ("ok", "skipped") for gate in report["gates"]
     )

@@ -53,7 +53,7 @@ from repro.stream import (
     replay_wal,
 )
 from repro.stream.durable.wal import last_wal_seq
-from repro.stream.events import RouteEvent
+from repro.stream.events import FlowEvent, RouteEvent
 from repro.testing import DurabilityFaultPlan, DurabilityFaultSpec
 from repro.testing.recovery import (
     WINDOW_SECONDS,
@@ -219,6 +219,16 @@ class TestWal:
             list(replay_wal(tmp_path))
         assert err.value.seq == 2
 
+    def test_crc_valid_kind_2_record_raises(self, tmp_path):
+        """No writer ever produced kind 2 (an in-band pickled flow
+        event), so a checksum-valid one is corruption, not history."""
+        flow = next(e for e in wal_events() if isinstance(e, FlowEvent))
+        with WalWriter(tmp_path) as wal:
+            wal.append(wal_events()[0])
+        append_raw_wal_record(tmp_path, 2, pickle.dumps(flow), kind=2)
+        with pytest.raises(WalCorruptionError, match="unknown WAL record kind 2"):
+            list(replay_wal(tmp_path))
+
     def test_sync_every_batches_fsync(self, tmp_path):
         with WalWriter(tmp_path, sync_every=16) as wal:
             for event in wal_events():
@@ -238,14 +248,15 @@ def window_digests(windows):
     ]
 
 
-def append_raw_wal_record(directory, seq, payload):
-    """Append a route record with a valid crc but arbitrary ``payload``
-    to the newest WAL segment (a new one when there is none)."""
+def append_raw_wal_record(directory, seq, payload, kind=1):
+    """Append a record (a route record unless ``kind`` says otherwise)
+    with a valid crc but arbitrary ``payload`` to the newest WAL
+    segment (a new one when there is none)."""
     from repro.stream.durable import wal as wal_mod
 
     segments = sorted(directory.glob("wal-*.log"))
     segment = segments[-1] if segments else directory / wal_mod._segment_name(seq)
-    kind, length = wal_mod._KIND_ROUTE, len(payload)
+    length = len(payload)
     crc = zlib.crc32(payload, zlib.crc32(struct.pack("<QBI", seq, kind, length)))
     with segment.open("ab") as handle:
         handle.write(wal_mod._HEADER.pack(seq, kind, length, crc) + payload)

@@ -4,10 +4,8 @@ Everything in here is stdlib-only so CI and contributors need no
 installs beyond the library's own dependencies. The entry points are:
 
 * ``python -m tools.reprolint src tests docs`` — the one static gate
-  (project-specific lint rules plus the docstring and doc-link gates
-  run as plugins; see ``docs/STATIC_ANALYSIS.md``).
+  (project-specific lint rules, including the docstring gate RL101 and
+  the doc-link gate RL102; see ``docs/STATIC_ANALYSIS.md``).
 * ``python tools/type_coverage.py`` — annotation-coverage gate backing
   the mypy strict configuration in ``pyproject.toml``.
-* ``python tools/docstring_gate.py`` / ``python tools/check_doc_links.py``
-  — the historical standalone gates, still runnable on their own.
 """

@@ -2,8 +2,8 @@
 
 File rules (run per module, possibly in parallel workers):
 
-* RL001 pool discipline, RL002 worker-global registry, RL003 span
-  re-arm (:mod:`tools.reprolint.checks.concurrency`);
+* RL001 pool discipline, RL003 span re-arm
+  (:mod:`tools.reprolint.checks.concurrency`);
 * RL004 hot-path numpy (:mod:`tools.reprolint.checks.hotpath`);
 * RL005 exception taxonomy (:mod:`tools.reprolint.checks.taxonomy`);
 * RL006 wall-clock discipline (:mod:`tools.reprolint.checks.wallclock`);
@@ -17,15 +17,15 @@ Project rules (run once over the merged summaries):
 * RL101 docstring coverage, RL102 doc links
   (:mod:`tools.reprolint.checks.docs`);
 * RL201 thread-shared state, RL202 fork safety, RL203 pickle-boundary
-  safety, RL204 fsync-before-rename — the whole-program concurrency
-  rules (:mod:`tools.reprolint.checks.program_concurrency`), which
-  run against the call-graph index in
+  safety and the worker-global registry — the whole-program
+  concurrency rules (:mod:`tools.reprolint.checks.program_concurrency`),
+  which run against the call-graph index in
   :mod:`tools.reprolint.program`;
-* RL302 commit ordering, RL303 supervised pool lifecycle, RL304 hot-path dtype flow, RL305 static
-  shape compatibility — the flow-sensitive dataflow rules
-  (:mod:`tools.reprolint.checks.dataflow_rules`), which interpret the
-  protocol machines in :mod:`tools.reprolint.protocols` over per-
-  function CFGs (:mod:`tools.reprolint.dataflow`).
+* RL302 commit ordering, RL304 hot-path dtype flow, RL305 static shape
+  compatibility — the flow-sensitive dataflow rules
+  (:mod:`tools.reprolint.checks.dataflow_rules`), which run over
+  per-function CFGs (:mod:`tools.reprolint.dataflow`); RL302 reads its
+  call shapes from :mod:`tools.reprolint.protocols`.
 """
 
 from tools.reprolint.checks import (  # noqa: F401  (import = registration)

@@ -1,6 +1,6 @@
 """Shared AST analysis used by several rules.
 
-The concurrency rules (RL001–RL003) and the wall-clock rule (RL006)
+The concurrency rules (RL001, RL003) and the wall-clock rule (RL006)
 all reason about the same structures: how imported names resolve, which
 functions a module hands to a process pool (its *worker entry points*),
 and the transitive same-module call closure of those workers. This
@@ -87,13 +87,6 @@ class ModuleConcurrency:
     #: Worker roots plus every same-module function they transitively
     #: call — the code that actually runs inside worker processes.
     worker_closure: set[str] = field(default_factory=set)
-    #: Module-level simple-assigned names (``X = …``).
-    module_assigns: set[str] = field(default_factory=set)
-    #: Names rebound through a ``global`` statement inside functions —
-    #: the mutable module state the save/restore protocol governs.
-    global_decls: set[str] = field(default_factory=set)
-    #: Line of the first pool construction (for module-level findings).
-    first_pool_line: int = 0
 
     def worker_functions(
         self,
@@ -123,19 +116,8 @@ def analyze_concurrency(tree: ast.Module) -> ModuleConcurrency:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[node.name] = node
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    info.module_assigns.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            info.module_assigns.add(node.target.id)
-    # Methods can also submit to pools; walk the whole tree for calls
-    # and global statements.
+    # Methods can also submit to pools; walk the whole tree for calls.
     for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
-            info.global_decls.update(node.names)
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -151,8 +133,6 @@ def analyze_concurrency(tree: ast.Module) -> ModuleConcurrency:
                 keyword.value, ast.Name
             ):
                 info.initializers.add(keyword.value.id)
-                if not info.first_pool_line:
-                    info.first_pool_line = node.lineno
     # Transitive same-module closure: the initializer and every helper
     # a worker calls run in the worker process too.
     pending = list(info.worker_roots | info.initializers)
@@ -165,27 +145,3 @@ def analyze_concurrency(tree: ast.Module) -> ModuleConcurrency:
         pending.extend(_called_names(info.functions[name]))
     info.worker_closure = closure
     return info
-
-
-def name_loads(fn: ast.AST) -> list[ast.Name]:
-    """Every ``Name`` read (Load context) under ``fn``."""
-    return [
-        node
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    ]
-
-
-def literal_str_tuple(node: ast.expr) -> list[str] | None:
-    """The string elements of a literal list/tuple, or None."""
-    if not isinstance(node, (ast.List, ast.Tuple)):
-        return None
-    out: list[str] = []
-    for element in node.elts:
-        if isinstance(element, ast.Constant) and isinstance(
-            element.value, str
-        ):
-            out.append(element.value)
-        else:
-            return None
-    return out

@@ -1,12 +1,12 @@
-"""Concurrency-safety rules: RL001 pool discipline, RL002 worker-global
-registry, RL003 span re-arm.
+"""Concurrency-safety rules: RL001 pool discipline and RL003 span
+re-arm.
 
 These encode the fork/spawn protocol ``core/classifier.py`` established:
-process pools are built in exactly one supervised place, every mutable
-module global a worker reads is listed in the ``_STREAM_GLOBALS``
-save/restore registry, and a pool whose workers touch the ambient
-tracer re-arms it in the initializer (spawn does not inherit the
-parent's enabled flag the way fork does).
+process pools are built in exactly one supervised place, and a pool
+whose workers touch the ambient tracer re-arms it in the initializer
+(spawn does not inherit the parent's enabled flag the way fork does).
+The worker-global registry (``_STREAM_GLOBALS``) is checked across
+modules by RL203 (:mod:`tools.reprolint.checks.program_concurrency`).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from collections.abc import Iterable
 from tools.reprolint.checks._astutil import (
     analyze_concurrency,
     import_map,
-    literal_str_tuple,
-    name_loads,
     resolve_call_name,
 )
 from tools.reprolint.context import FileContext
@@ -74,69 +72,6 @@ class PoolDiscipline(Checker):
                     "SpoofingClassifier.classify_stream(n_workers=...) "
                     "or extend the allowlist deliberately",
                 )
-
-
-@register
-class WorkerGlobalRegistry(Checker):
-    """RL002 — worker-read mutable globals must be in the registry."""
-
-    rule = "RL002"
-    title = (
-        "mutable module globals read by pool workers must be listed "
-        "in the stream-globals save/restore registry"
-    )
-
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        if not ctx.config.in_src(ctx.rel):
-            return
-        info = analyze_concurrency(ctx.tree)
-        if not info.worker_closure:
-            return
-        # Mutable module state: assigned at module level AND rebound
-        # via ``global`` somewhere — exactly the save/restore surface.
-        mutable = info.module_assigns & info.global_decls
-        if not mutable:
-            return
-        registry = self._registry_names(ctx)
-        reported: set[str] = set()
-        for fn in info.worker_functions():
-            for load in name_loads(fn):
-                name = load.id
-                if name not in mutable or name in reported:
-                    continue
-                if registry is not None and name in registry:
-                    continue
-                reported.add(name)
-                detail = (
-                    f"not listed in {ctx.config.worker_registry}"
-                    if registry is not None
-                    else (
-                        f"module defines no {ctx.config.worker_registry} "
-                        "registry"
-                    )
-                )
-                yield Finding(
-                    ctx.rel,
-                    load.lineno,
-                    load.col_offset + 1,
-                    self.rule,
-                    f"worker function {fn.name}() reads mutable module "
-                    f"global {name} {detail}; register it so the "
-                    "fork/spawn save-restore protocol covers it",
-                )
-
-    def _registry_names(self, ctx: FileContext) -> set[str] | None:
-        for node in ctx.tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == ctx.config.worker_registry
-                    ):
-                        names = literal_str_tuple(node.value)
-                        if names is not None:
-                            return set(names)
-        return None
 
 
 @register

@@ -1,23 +1,19 @@
 """RL302–RL305 — the flow-sensitive dataflow rules.
 
-The commit-ordering and typestate rules interpret the declarative
-protocol machines in :mod:`tools.reprolint.protocols` over each
-function's CFG (:mod:`tools.reprolint.dataflow`):
-
-* RL302 — WAL/checkpoint commit ordering (fsync dominates rename on
-  every durable path, ``wal.sync()`` dominates checkpoint save) — the
-  flow-sensitive upgrade of RL204's lexical check;
-* RL303 — supervised pool lifecycle (drained on every path,
-  exception edges included; no submit to a drained pool, no join on
-  a running one; version-aware re-arm after every rebuild).
+RL302 interprets the declarative commit-ordering protocol in
+:mod:`tools.reprolint.protocols` over each function's CFG
+(:mod:`tools.reprolint.dataflow`): fsync dominates rename on every
+durable path, directly or through a helper whose call tree fsyncs, and
+``wal.sync()`` dominates checkpoint save.
 
 Dtype/shape rules run abstract interpretation over numpy expressions
 in the configured dtype scope (``core``/``net``/``cones``/``sketch``):
 
 * RL304 — silent dtype round-trips and upcasts (integer data
   accumulated through a float64 temporary and cast back, float32/
-  float64 mixed arithmetic, chained fancy-index copies) — the
-  dataflow upgrade of RL004's per-call-site checks;
+  float64 mixed arithmetic, chained fancy-index copies). It tracks
+  dtypes through assignments; RL004's per-call-site checks (missing
+  dtypes, object arrays, append loops) are a different set and stay;
 * RL305 — shape compatibility at concatenate/stack/matmul/broadcast
   sites whose operand shapes are statically known from construction.
 
@@ -32,11 +28,7 @@ import ast
 from collections.abc import Iterable
 from typing import Any, Callable
 
-from tools.reprolint.checks._astutil import (
-    POOL_SUBMIT_METHODS,
-    import_map,
-    resolve_call_name,
-)
+from tools.reprolint.checks._astutil import import_map, resolve_call_name
 from tools.reprolint.checks.program_concurrency import _ProgramChecker
 from tools.reprolint.context import ProjectContext
 from tools.reprolint.dataflow import (
@@ -47,11 +39,7 @@ from tools.reprolint.dataflow import (
 )
 from tools.reprolint.findings import Finding
 from tools.reprolint import program as _program
-from tools.reprolint.protocols import (
-    SUPERVISED_POOL,
-    WAL_COMMIT,
-    ProtocolSpec,
-)
+from tools.reprolint.protocols import WAL_COMMIT
 from tools.reprolint.registry import register
 
 Resolver = Callable[[ast.Call], str]
@@ -115,396 +103,6 @@ class _Dedup:
         self.findings.append(
             Finding(self.rel, line, col + 1, self.rule, message)
         )
-
-
-# ---------------------------------------------------------------------------
-# Typestate machinery (RL303)
-# ---------------------------------------------------------------------------
-
-State = frozenset  # of (var, state) pairs
-
-
-class _TypestateMachine:
-    """Interprets one :class:`ProtocolSpec` over local variables.
-
-    ``helpers`` are interprocedural summaries: ``(event, names)`` —
-    calling ``name(x)`` fires ``event`` on ``x`` as if the helper's
-    body were inlined (see :func:`_event_helpers`).
-    """
-
-    def __init__(
-        self,
-        spec: ProtocolSpec,
-        resolve: Resolver,
-        *,
-        factories: frozenset[str] = frozenset(),
-        version_vars: frozenset[str] = frozenset(),
-        helpers: tuple[tuple[str, frozenset[str]], ...] = (),
-    ) -> None:
-        self.spec = spec
-        self.resolve = resolve
-        self.factories = factories
-        self.version_vars = version_vars
-        self.event_calls: list[tuple[str, frozenset[str], str]] = [
-            (event, frozenset(patterns), subject)
-            for event, patterns, subject in spec.events
-        ]
-        self.event_calls += [
-            (event, names, "arg0") for event, names in helpers if names
-        ]
-        self.initial = dict(spec.initial)
-        self.transitions = {
-            (state, event): to for state, event, to in spec.transitions
-        }
-        self.event_errors = {
-            (state, event): msg for state, event, msg in spec.event_errors
-        }
-        self.exc_exit_errors = dict(spec.exc_exit_errors)
-
-    # -- event extraction --------------------------------------------------
-
-    def _acquire_event(self, call: ast.Call) -> str:
-        resolved = self.resolve(call)
-        for event, patterns, subject in self.event_calls:
-            if subject == "result" and (
-                _matches(resolved, patterns)
-                or _matches(resolved, self.factories)
-            ):
-                return event
-        return ""
-
-    def _var_events(self, stmt: ast.AST) -> list[tuple[str, str, ast.AST]]:
-        """``(event, var, node)`` for arg0/receiver-subject events."""
-        out: list[tuple[str, str, ast.AST]] = []
-        for call in _calls_in(stmt):
-            resolved = self.resolve(call)
-            for event, patterns, subject in self.event_calls:
-                if subject == "arg0" and _matches(resolved, patterns):
-                    if call.args and isinstance(call.args[0], ast.Name):
-                        out.append((event, call.args[0].id, call))
-                elif subject == "receiver" and isinstance(
-                    call.func, ast.Attribute
-                ):
-                    if call.func.attr in patterns and isinstance(
-                        call.func.value, ast.Name
-                    ):
-                        out.append((event, call.func.value.id, call))
-        return out
-
-    def _submit_events(
-        self, stmt: ast.AST, tracked: set[str], eventful: set[int]
-    ) -> list[tuple[str, ast.AST]]:
-        """Uses that count as ``submit`` for pool-style protocols.
-
-        ``eventful`` holds the ids of calls that already fired a
-        protocol event (a drain helper taking the pool is a drain,
-        not a use).
-        """
-        if "submit" not in {event for _state, event in self.event_errors}:
-            return []
-        out: list[tuple[str, ast.AST]] = []
-        for call in _calls_in(stmt):
-            if id(call) in eventful:
-                continue
-            if (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr in POOL_SUBMIT_METHODS
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id in tracked
-            ):
-                out.append((call.func.value.id, call))
-            else:
-                for arg in call.args:
-                    if isinstance(arg, ast.Name) and arg.id in tracked:
-                        # The pool handed to a helper (submit(pool, …))
-                        # is being used; helpers submit on its behalf.
-                        out.append((arg.id, call))
-        return out
-
-    # -- lattice operations ------------------------------------------------
-
-    def states_of(self, state: State, var: str) -> set[str]:
-        return {s for v, s in state if v == var}
-
-    def _untrack(self, state: State, var: str) -> State:
-        return frozenset(p for p in state if p[0] != var)
-
-    def _fire_events(self, stmt: ast.AST, state: State) -> State:
-        for event, var, _node in self._var_events(stmt):
-            states = self.states_of(state, var)
-            if not states:
-                continue
-            moved = set()
-            for s in states:
-                to = self.transitions.get((s, event)) or self.transitions.get(
-                    ("*", event)
-                )
-                moved.add(to if to else s)
-            state = self._untrack(state, var) | {(var, s) for s in moved}
-        return state
-
-    def apply(self, stmt: ast.AST, state: State) -> State:
-        tracked = {v for v, _s in state}
-        # Version re-arm: refresh stale pools (or stage freshness).
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                stmt.targets
-                if isinstance(stmt, ast.Assign)
-                else [stmt.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id in self.version_vars
-                ):
-                    stale = {
-                        v
-                        for v, s in state
-                        if s == "armed_stale"
-                    }
-                    if stale:
-                        state = frozenset(
-                            (v, "armed" if s == "armed_stale" else s)
-                            for v, s in state
-                        )
-                    else:
-                        state = state | {("@version", "fresh")}
-                    return state
-        # Acquire: bind the result state to a simple assignment target.
-        value = getattr(stmt, "value", None)
-        if (
-            isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            and isinstance(value, ast.Call)
-        ):
-            event = self._acquire_event(value)
-            if event:
-                target = (
-                    stmt.targets[0]
-                    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    else stmt.target
-                    if isinstance(stmt, ast.AnnAssign)
-                    else None
-                )
-                if isinstance(target, ast.Name):
-                    state = self._untrack(state, target.id)
-                    entered = self.initial.get(event, "")
-                    if entered == "armed_stale" and (
-                        "@version",
-                        "fresh",
-                    ) in state:
-                        entered = "armed"
-                        state = self._untrack(state, "@version")
-                    if entered:
-                        state = state | {(target.id, entered)}
-                    return state
-        # Reassignment of a tracked name unbinds it.
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id in tracked:
-                    state = self._untrack(state, target.id)
-        state = self._fire_events(stmt, state)
-        # Escapes: returning the resource or storing it on an object
-        # transfers ownership (on the *normal* edge only — the
-        # exception edge keeps the pre-state, which is the point).
-        if isinstance(stmt, ast.Return) and isinstance(
-            stmt.value, ast.Name
-        ):
-            state = self._untrack(state, stmt.value.id)
-        if isinstance(stmt, ast.Assign) and isinstance(
-            stmt.value, ast.Name
-        ):
-            for target in stmt.targets:
-                if isinstance(target, ast.Attribute):
-                    state = self._untrack(state, stmt.value.id)
-        return state
-
-    def apply_exc(self, stmt: ast.AST, state: State) -> State:
-        """Event transitions that stick even when the statement raises:
-        the drain calls themselves (an exception from ``terminate()``
-        still ended the pool), but not acquire bindings or ownership
-        escapes (those only happen on the normal edge)."""
-        return self._fire_events(stmt, state)
-
-    def refine(self, test: ast.expr | None, assume: bool, state: State) -> State:
-        """Drop a tracked name on the edge where it is known ``None``
-        (``if pool is not None:`` false edge, ``if pool is None:`` true
-        edge, ``if pool:`` false edge) — nothing is held there."""
-        var = ""
-        if isinstance(test, ast.Name) and not assume:
-            var = test.id
-        elif (
-            isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name)
-            and len(test.ops) == 1
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None
-        ):
-            op = test.ops[0]
-            if (isinstance(op, ast.IsNot) and not assume) or (
-                isinstance(op, ast.Is) and assume
-            ):
-                var = test.left.id
-        return self._untrack(state, var) if var else state
-
-    # -- reporting ---------------------------------------------------------
-
-    def violations(
-        self, stmt: ast.AST, state: State, sink: _Dedup
-    ) -> None:
-        tracked = {v for v, _s in state}
-        eventful: set[int] = set()
-        for event, var, node in self._var_events(stmt):
-            eventful.add(id(node))
-            for s in self.states_of(state, var):
-                msg = self.event_errors.get((s, event))
-                if msg:
-                    sink.emit(node.lineno, node.col_offset, msg)
-        for var, node in self._submit_events(stmt, tracked, eventful):
-            for s in self.states_of(state, var):
-                msg = self.event_errors.get((s, "submit"))
-                if msg:
-                    sink.emit(node.lineno, node.col_offset, msg)
-
-    def unbound_acquires(self, stmt: ast.AST, sink: _Dedup) -> None:
-        """An acquire nested inside a larger expression has no owner to
-        release if the enclosing expression raises."""
-        if not self.exc_exit_errors:
-            return
-        value = getattr(stmt, "value", None)
-        calls = _calls_in(stmt)
-        for call in calls:
-            if not self._acquire_event(call):
-                continue
-            if call is value and isinstance(
-                stmt, (ast.Assign, ast.AnnAssign)
-            ):
-                continue  # properly bound
-            if len(calls) > 1:
-                sink.emit(
-                    call.lineno,
-                    call.col_offset,
-                    "acquired resource is not bound to a local name — "
-                    "if the enclosing expression raises there is no "
-                    "owner left to release it; bind it first and "
-                    "release on the exception path",
-                )
-
-
-class _TypestateForward(ForwardAnalysis):
-    def __init__(self, machine: _TypestateMachine) -> None:
-        self.machine = machine
-
-    def initial(self) -> State:
-        return frozenset()
-
-    def join(self, a: State, b: State) -> State:
-        return a | b
-
-    def transfer(self, stmt: ast.AST, state: State) -> State:
-        return self.machine.apply(stmt, state)
-
-    def transfer_exc(self, stmt: ast.AST, state: State) -> State:
-        return self.machine.apply_exc(stmt, state)
-
-    def branch(
-        self, test: ast.expr | None, assume: bool, state: State
-    ) -> State:
-        return self.machine.refine(test, assume, state)
-
-
-def _run_typestate(
-    machine: _TypestateMachine,
-    rel: str,
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    rule: str,
-) -> list[Finding]:
-    cfg = build_cfg(fn)
-    result = analyse(cfg, _TypestateForward(machine))
-    sink = _Dedup(rel, rule)
-    acquire_lines: dict[str, int] = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and isinstance(
-            node.value, ast.Call
-        ):
-            if machine._acquire_event(node.value) and node.targets:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    acquire_lines.setdefault(target.id, node.lineno)
-    for block in cfg.blocks:
-        if block.stmt is None or block.is_branch:
-            continue
-        state = result.state_at(block.id)
-        if state is None:
-            continue
-        machine.violations(block.stmt, state, sink)
-        machine.unbound_acquires(block.stmt, sink)
-    exc_state = result.exc_exit_state
-    if exc_state and result.converged:
-        for var, s in sorted(exc_state):
-            msg = machine.exc_exit_errors.get(s)
-            if msg and var != "@version":
-                sink.emit(acquire_lines.get(var, fn.lineno), 0, msg)
-    return sink.findings
-
-
-def _event_helpers(
-    index: _program.ProgramIndex, methods: frozenset[str]
-) -> frozenset[str]:
-    """Names of functions that call one of ``methods`` on their first
-    parameter — ``helper(pool)`` then fires the same event on ``pool``
-    (an interprocedural summary over the program index)."""
-    helpers: set[str] = set()
-    for fn in index.functions.values():
-        args = [a.arg for a in fn.node.args.args if a.arg != "self"]
-        if not args:
-            continue
-        first = args[0]
-        for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in methods
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == first
-            ):
-                helpers.add(fn.name)
-                break
-    return frozenset(helpers)
-
-
-@register
-class SupervisedPoolTypestate(_ProgramChecker):
-    """RL303 — supervised pool lifecycle (arm/drain/rebuild/re-arm)."""
-
-    rule = "RL303"
-    title = (
-        "supervised pool lifecycle: drained on every path (exception "
-        "edges included), no submit to a drained pool, version-aware "
-        "re-arm after every rebuild"
-    )
-
-    def check_program(
-        self, ctx: ProjectContext, index: _program.ProgramIndex
-    ) -> Iterable[Finding]:
-        drain = next(
-            patterns
-            for event, patterns, _subject in SUPERVISED_POOL.events
-            if event == "drain"
-        )
-        helpers = (("drain", _event_helpers(index, frozenset(drain))),)
-        for rel, imports, fn in _scope_functions(
-            ctx, index, ctx.config.in_src
-        ):
-            machine = _TypestateMachine(
-                SUPERVISED_POOL,
-                lambda call, imp=imports: resolve_call_name(
-                    call.func, imp
-                ),
-                factories=ctx.config.pool_factories,
-                version_vars=ctx.config.pool_version_vars,
-                helpers=helpers,
-            )
-            yield from _run_typestate(machine, rel, fn, self.rule)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +195,7 @@ class CommitOrdering(_ProgramChecker):
         sync_effect = effect_functions(
             index,
             lambda fn: any(
-                call.external and call.callee.split(".")[-1] == "fsync"
+                call.external.split(".")[-1] == "fsync"
                 for call in fn.calls
             ),
         )
@@ -608,10 +206,7 @@ class CommitOrdering(_ProgramChecker):
         save_methods = set(WAL_COMMIT.option("save_methods"))
         save_receivers = set(WAL_COMMIT.option("save_receivers"))
         for rel, imports, fn in _scope_functions(
-            ctx,
-            index,
-            lambda r: ctx.config.in_rename_scope(r)
-            or ctx.config.in_durable_scope(r),
+            ctx, index, ctx.config.in_durable_scope
         ):
             resolve = lambda call, imp=imports: resolve_call_name(  # noqa: E731
                 call.func, imp

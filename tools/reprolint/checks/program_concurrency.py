@@ -1,4 +1,4 @@
-"""Whole-program concurrency rules: RL201–RL204.
+"""Whole-program concurrency rules: RL201–RL203.
 
 These run against the :class:`~tools.reprolint.program.ProgramIndex`
 rather than single files, because the interleavings they police span
@@ -19,16 +19,13 @@ four call hops later; the classifier's fork pools are built in
   lexically held;
 * **RL203** — lambdas, locally defined functions/classes, and workers
   reading unregistered mutable module globals crossing a process /
-  pickle boundary (``initargs=``, pool submits, ``pickle.dumps``) —
-  the interprocedural upgrade of RL002's per-file check;
-* **RL204** — inside the durable-write scopes, every static path must
-  see an fsync effect (directly, or via a callee that fsyncs, or via
-  the blessed atomic-write helpers) before an ``os.replace`` /
-  ``os.rename`` — deepening RL009 from "the file uses the helpers"
-  to "the call chains order the syscalls correctly".
+  pickle boundary (``initargs=``, pool submits, ``pickle.dumps``). The
+  worker's whole call tree is followed, in its own module and across
+  modules: a global the pool initializer does not set is one a
+  spawn-started worker reads as its import-time value.
 
-All four trust the index's conservative call graph: an edge the model
-cannot resolve is simply absent, which makes RL202/RL203/RL204 quieter
+All three trust the index's conservative call graph: an edge the model
+cannot resolve is simply absent, which makes RL202/RL203 quieter
 and never noisier; RL201 additionally treats *public* attributes
 written by the thread as externally read, so a counter like
 ``replayed_events`` cannot hide behind an unresolved reader.
@@ -416,11 +413,6 @@ class PickleSafety(_ProgramChecker):
         worker_key = index._function_for_name(expr.id, fn)
         if not worker_key:
             return
-        worker = index.functions[worker_key]
-        # Same-module submits are RL002's per-file territory; this rule
-        # adds the cross-module view RL002 cannot have.
-        if worker.module == fn.module:
-            return
         seen: set[tuple[str, str]] = set()
         for reached_key in sorted(index.closure({worker_key})):
             reached = index.functions[reached_key]
@@ -450,8 +442,8 @@ class PickleSafety(_ProgramChecker):
                     self.rule,
                     f"{role} {expr.id} reaches {reached.name}() in "
                     f"{mod.name}, which reads mutable global {name} "
-                    f"{detail}; the fork/spawn save-restore protocol "
-                    "does not cover it",
+                    f"{detail}; the pool initializer must set every "
+                    "global a worker reads",
                 )
 
     def _check_payload(self, index: _program.ProgramIndex, fn, expr: ast.expr,
@@ -486,84 +478,3 @@ class PickleSafety(_ProgramChecker):
                 "across a process boundary — move it to module level",
             )
         return None
-
-
-@register
-class RenameProtocol(_ProgramChecker):
-    """RL204 — fsync must precede rename inside durable-write scopes."""
-
-    rule = "RL204"
-    title = (
-        "durable-scope call chains must reach fsync before os.replace/"
-        "os.rename"
-    )
-
-    #: External names granting the fsync effect directly.
-    _FSYNC = frozenset({"os.fsync"})
-    _RENAMES = frozenset({"os.replace", "os.rename"})
-
-    def check_program(
-        self, ctx: ProjectContext, index: _program.ProgramIndex
-    ) -> Iterable[Finding]:
-        fsyncing = self._fsync_effect_functions(ctx, index)
-        for key in sorted(index.functions):
-            fn = index.functions[key]
-            rel = _rel(index, fn.module)
-            if not ctx.config.in_rename_scope(rel):
-                continue
-            seen_fsync = False
-            for site in sorted(fn.calls, key=lambda s: (s.line, s.col)):
-                if site.external in self._RENAMES:
-                    if not seen_fsync:
-                        yield Finding(
-                            rel,
-                            site.line,
-                            site.col,
-                            self.rule,
-                            f"{site.external} in {fn.name}() with no "
-                            "fsync on any preceding call path; a crash "
-                            "can promote a torn or empty file under "
-                            "the final name — write through "
-                            "atomic_write_bytes/atomic_write_text or "
-                            "fsync the descriptor before renaming",
-                        )
-                    continue
-                if self._grants_fsync(ctx, site, fsyncing):
-                    seen_fsync = True
-
-    def _grants_fsync(self, ctx, site: _program.CallSite, fsyncing: set[str]
-                      ) -> bool:
-        if site.external in self._FSYNC:
-            return True
-        if site.callee and site.callee in fsyncing:
-            return True
-        last = site.external.rsplit(".", 1)[-1] if site.external else ""
-        return last in ctx.config.atomic_write_helpers
-
-    def _fsync_effect_functions(self, ctx, index: _program.ProgramIndex
-                                ) -> set[str]:
-        """Fixpoint: functions that fsync directly or via a callee."""
-        fsyncing: set[str] = set()
-        for key, fn in index.functions.items():
-            for site in fn.calls:
-                if site.external in self._FSYNC or (
-                    site.external
-                    and site.external.rsplit(".", 1)[-1]
-                    in ctx.config.atomic_write_helpers
-                ):
-                    fsyncing.add(key)
-                    break
-        changed = True
-        while changed:
-            changed = False
-            for key, fn in index.functions.items():
-                if key in fsyncing:
-                    continue
-                if any(
-                    site.callee in fsyncing
-                    for site in fn.calls
-                    if site.callee
-                ):
-                    fsyncing.add(key)
-                    changed = True
-        return fsyncing

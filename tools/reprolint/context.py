@@ -52,11 +52,11 @@ class LintConfig:
     )
     #: Directories whose numpy code is hot-path (RL004).
     hot_path_dirs: tuple[str, ...] = field(default_factory=_default_hot_paths)
-    #: Library source prefix — RL001/RL002/RL003/RL005/RL006 only
-    #: police files under it (tests and tools may do what they like).
+    #: Library source prefix — RL001/RL003/RL005/RL006 only police
+    #: files under it (tests and tools may do what they like).
     src_prefix: str = "src/"
     #: Name of the module-level tuple registering every mutable global
-    #: a pool worker reads (RL002).
+    #: a pool worker reads (RL203).
     worker_registry: str = "_STREAM_GLOBALS"
     #: The spawn re-arm helper a tracing pool initializer must call
     #: (RL003).
@@ -79,16 +79,20 @@ class LintConfig:
     reference_roots: tuple[str, ...] = field(
         default_factory=_default_reference_roots
     )
-    #: Directories whose file writes must be crash-safe (RL009): every
-    #: truncating write goes through the atomic write-tmp-fsync-rename
-    #: helpers (or implements the same dance inline); appends must be
-    #: paired with fsync.
-    durable_dirs: tuple[str, ...] = ("src/repro/stream/durable",)
+    #: Paths (directories or files) whose file writes must be
+    #: crash-safe: every truncating write goes through the atomic
+    #: write-tmp-fsync-rename helpers or implements the same dance
+    #: inline (RL009), and every rename is preceded by an fsync on
+    #: every path (RL302).
+    durable_dirs: tuple[str, ...] = (
+        "src/repro/stream/durable",
+        "src/repro/util/atomicio.py",
+    )
     #: Call names RL009 accepts as the blessed atomic-write helpers.
     atomic_write_helpers: frozenset[str] = frozenset(
         {"atomic_write_bytes", "atomic_write_text"}
     )
-    #: Roots the whole-program index (RL201–RL204) parses. Module
+    #: Roots the whole-program index (RL2xx/RL3xx) parses. Module
     #: names strip the root: ``src/repro/x.py`` → ``repro.x``.
     program_roots: tuple[str, ...] = ("src",)
     #: Class attribute declaring per-attribute sharing contracts that
@@ -121,12 +125,6 @@ class LintConfig:
     pickle_sinks: frozenset[str] = frozenset(
         {"pickle.dumps", "pickle.dump"}
     )
-    #: Paths (directories or files) whose renames must be preceded by
-    #: an fsync on every static path (RL204).
-    rename_protocol_scopes: tuple[str, ...] = (
-        "src/repro/stream/durable",
-        "src/repro/util/atomicio.py",
-    )
     #: Directories whose numpy code the dtype/shape abstract
     #: interpretation (RL304/RL305) covers — the hot paths plus the
     #: sketch kernels.
@@ -136,13 +134,6 @@ class LintConfig:
         "src/repro/cones",
         "src/repro/sketch",
     )
-    #: Factory helpers whose result is a supervised pool (RL303) —
-    #: pools built by these names carry the version-aware re-arm
-    #: obligation.
-    pool_factories: frozenset[str] = frozenset({"make_pool"})
-    #: Local variable names that hold the armed state version (RL303):
-    #: assigning one re-arms every stale pool in scope.
-    pool_version_vars: frozenset[str] = frozenset({"armed_version"})
     #: Packages ``--all-gates`` runs the annotation-floor gate over,
     #: and the floor itself (mirrors the mypy strict surface).
     strict_type_paths: tuple[str, ...] = (
@@ -168,16 +159,9 @@ class LintConfig:
         )
 
     def in_durable_scope(self, rel: str) -> bool:
-        """Whether RL009 polices this file's writes."""
+        """Whether RL009 and RL302 police this file's writes."""
         return any(
             rel.startswith(d + "/") or rel == d for d in self.durable_dirs
-        )
-
-    def in_rename_scope(self, rel: str) -> bool:
-        """Whether RL204 polices this file's rename ordering."""
-        return any(
-            rel.startswith(d + "/") or rel == d
-            for d in self.rename_protocol_scopes
         )
 
     def in_dtype_scope(self, rel: str) -> bool:

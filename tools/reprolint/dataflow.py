@@ -2,10 +2,10 @@
 interpretation over stdlib ``ast``.
 
 The RL3xx rules need more than the call graph: they reason about
-*order* (fsync before rename, sync before save), about *paths* (a
-segment released in one branch but not the other), and about
-*exception edges* (a constructor that raises after the segment was
-created). This module provides the three pieces they share:
+*order* (fsync before rename, sync before save), about *paths* (an
+fsync on one branch but not the other), and about *exception edges*
+(a handler reached before the statement's effect happened). This
+module provides the three pieces they share:
 
 * :class:`CFG` / :func:`build_cfg` — an intraprocedural control-flow
   graph with one simple statement per block, explicit ``true``/
@@ -33,8 +33,7 @@ created). This module provides the three pieces they share:
 Abstract states must be immutable values with structural equality
 (``dict``/``frozenset`` compositions compare fine); the engine bounds
 the fixpoint at :data:`MAX_VISITS` block visits and returns the
-partial result — rules built on it stay quiet, never noisy, when a
-function is too gnarly to converge.
+partial result.
 """
 
 from __future__ import annotations
@@ -344,16 +343,6 @@ class ForwardAnalysis:
         """Post-state of executing one simple statement."""
         return state
 
-    def transfer_exc(self, stmt: ast.AST, state: Any) -> Any:
-        """State carried along the statement's exception edge.
-
-        Defaults to the pre-state (the statement's effect did not
-        happen). Typestate clients override this so that an exception
-        raised *by a release call itself* still counts the release —
-        the caller cannot release harder than calling release.
-        """
-        return state
-
     def branch(
         self, test: ast.expr | None, assume: bool, state: Any
     ) -> Any:
@@ -363,22 +352,13 @@ class ForwardAnalysis:
 
 @dataclass
 class DataflowResult:
-    """Fixpoint states: per-block input plus the two exit states."""
+    """Fixpoint states: the input state of every reached block."""
 
     cfg: CFG
     in_states: dict[int, Any]
-    converged: bool
 
     def state_at(self, block_id: int) -> Any | None:
         return self.in_states.get(block_id)
-
-    @property
-    def exit_state(self) -> Any | None:
-        return self.in_states.get(self.cfg.exit)
-
-    @property
-    def exc_exit_state(self) -> Any | None:
-        return self.in_states.get(self.cfg.exc_exit)
 
 
 def analyse(cfg: CFG, analysis: ForwardAnalysis) -> DataflowResult:
@@ -387,11 +367,9 @@ def analyse(cfg: CFG, analysis: ForwardAnalysis) -> DataflowResult:
     worklist: deque[int] = deque([cfg.entry])
     queued = {cfg.entry}
     visits = 0
-    converged = True
     while worklist:
         visits += 1
         if visits > MAX_VISITS:
-            converged = False
             break
         block_id = worklist.popleft()
         queued.discard(block_id)
@@ -403,11 +381,8 @@ def analyse(cfg: CFG, analysis: ForwardAnalysis) -> DataflowResult:
             post = state
         for edge in block.edges:
             if edge.kind == EXC:
-                out = (
-                    analysis.transfer_exc(block.stmt, state)
-                    if block.stmt is not None and not block.is_branch
-                    else state
-                )
+                # The statement's effect did not happen if it raised.
+                out = state
             elif edge.kind == TRUE:
                 out = analysis.branch(edge.test, True, post)
             elif edge.kind == FALSE:
@@ -423,7 +398,7 @@ def analyse(cfg: CFG, analysis: ForwardAnalysis) -> DataflowResult:
                 if edge.dst not in queued:
                     queued.add(edge.dst)
                     worklist.append(edge.dst)
-    return DataflowResult(cfg=cfg, in_states=in_states, converged=converged)
+    return DataflowResult(cfg=cfg, in_states=in_states)
 
 
 def effect_functions(index: Any, base_effect) -> set[str]:

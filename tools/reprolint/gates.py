@@ -1,16 +1,15 @@
 """``--all-gates``: every static gate behind one invocation.
 
-CI used to run reprolint, mypy, the annotation-floor gate, the
-docstring gate, and the doc-link checker as five separate steps, each
-with its own exit-code convention. ``python -m tools.reprolint
---all-gates`` runs them in sequence, prints one composite table, and
+``python -m tools.reprolint --all-gates`` runs reprolint (whose RL101
+and RL102 are the docstring and doc-link gates), mypy and the
+annotation-floor gate in sequence, prints one composite table, and
 exits non-zero iff *any* gate failed — one step, one artifact, one
 place to read the outcome.
 
-Gate parameters come from :class:`~tools.reprolint.context.LintConfig`
+The annotation floor reads :class:`~tools.reprolint.context.LintConfig`
 (``strict_type_paths``/``type_floor`` mirror the pyproject mypy strict
-surface, ``docstring_packages``/``docstring_threshold`` mirror RL101),
-so the composite run and the individual tools cannot drift apart.
+surface), so the composite run and the standalone tool cannot drift
+apart.
 
 mypy is the one gate that is not stdlib-only; when it is not
 installed (the repro container bakes it in, bare environments may
@@ -27,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from tools import check_doc_links, docstring_gate, type_coverage
+from tools import type_coverage
 from tools.reprolint.context import LintConfig
 
 __all__ = ["GateResult", "run_gates"]
@@ -84,7 +83,7 @@ def run_gates(
     """Run the companion gates; returns (table rows, composite exit).
 
     ``lint_exit`` is the already-computed reprolint outcome, included
-    in the table so the one printout covers all five gates. The
+    in the table so the one printout covers all three gates. The
     composite exit code is 0 iff every gate is ok or skipped, else the
     worst gate's code (capped at 1 for the caller to merge — each
     tool's *distinct* exit codes remain visible in the table).
@@ -109,46 +108,11 @@ def run_gates(
             )
         )
     else:
-        # Both tools require at least one path; a tree without the
+        # The tool requires at least one path; a tree without the
         # configured packages has nothing to gate.
         results.append(
             GateResult(
                 "type-coverage", 0, time.perf_counter() - began, "skipped"
-            )
-        )
-
-    began = time.perf_counter()
-    doc_paths = [str(root / path) for path in config.docstring_packages
-                 if (root / path).exists()]
-    if doc_paths:
-        code = docstring_gate.main(
-            ["--threshold", str(config.docstring_threshold)] + doc_paths
-        )
-        results.append(
-            GateResult(
-                "docstrings", code, time.perf_counter() - began,
-                _status(code),
-            )
-        )
-    else:
-        results.append(
-            GateResult(
-                "docstrings", 0, time.perf_counter() - began, "skipped"
-            )
-        )
-
-    began = time.perf_counter()
-    if any(root.rglob("*.md")):
-        code = check_doc_links.main([str(root)])
-        results.append(
-            GateResult(
-                "doc-links", code, time.perf_counter() - began, _status(code)
-            )
-        )
-    else:
-        results.append(
-            GateResult(
-                "doc-links", 0, time.perf_counter() - began, "skipped"
             )
         )
 

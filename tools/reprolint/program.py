@@ -174,7 +174,7 @@ class ModuleInfo:
     @property
     def mutable_globals(self) -> set[str]:
         """Module globals both assigned at top level and rebound via
-        ``global`` — the save/restore surface RL002/RL203 police."""
+        ``global`` — the worker-global surface RL203 polices."""
         return self.module_assigns & self.global_decls
 
 

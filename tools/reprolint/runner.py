@@ -583,8 +583,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--all-gates", action="store_true",
-        help="also run the companion gates (mypy, type coverage, "
-             "docstrings, doc links) and print one composite table",
+        help="also run the companion gates (mypy, type coverage) and "
+             "print one composite table",
     )
     parser.add_argument(
         "--statistics", action="store_true",
