@@ -10,10 +10,7 @@ PERF columns compare these classification paths on the default world:
   members and approaches; must be ≥5× the loop),
 * ``stream``  — ``classify_stream`` over bounded chunks with a
   4-process pool on a ≥4M-row scenario (must beat single-shot
-  wall-clock while producing identical per-approach class counts),
-* ``sketch``  — the constant-memory sketch triage over the same
-  4-process stream (must be ≥3× the parallel exact baseline measured
-  in the same run).
+  wall-clock while producing identical per-approach class counts).
 """
 
 import time
@@ -168,79 +165,6 @@ def bench_stream_parallel_vs_single(benchmark, world, save_artefact):
     )
     assert stream_s < single_s, (
         f"stream ({stream_s:.2f}s) did not beat single-shot ({single_s:.2f}s)"
-    )
-
-
-def bench_stream_sketch_speedup(benchmark, world, save_artefact):
-    """Sketch triage vs the exact parallel stream over the same table.
-
-    The baseline is the exact engine with 4 workers — the configuration
-    ``perf_stream_parallel`` measures. The sketch side swaps in the
-    constant-memory sketch triage; both sides deliver chunks the same
-    way (row ranges of the inherited table under fork, pickled chunks
-    otherwise). Acceptance: ≥3× the baseline wall-clock measured in
-    the same run, with the triage counters honouring their bounds
-    against the exact result (bogon and unrouted equal, invalid a
-    lower bound, valid an upper bound).
-    """
-    classifier = world.classifier
-    big = _tile_flows(world.scenario.flows, STREAM_SCENARIO_ROWS)
-    classifier.classify(world.scenario.flows)  # warm
-    # One throwaway run per path so pool start-up and page-cache
-    # effects do not land on either side of the speedup.
-    exact = classifier.classify_stream(big, n_workers=4)
-    triaged = classifier.classify_stream(big, n_workers=4, triage="sketch")
-
-    base_s = min(
-        _timed(classifier.classify_stream, big, n_workers=4)
-        for _ in range(2)
-    )
-    sketch_s = min(
-        _timed(classifier.classify_stream, big, n_workers=4, triage="sketch")
-        for _ in range(2)
-    )
-    benchmark.pedantic(
-        classifier.classify_stream,
-        args=(big,),
-        kwargs={"n_workers": 4, "triage": "sketch"},
-        rounds=1,
-        iterations=1,
-    )
-
-    # Triage bound contract against the exact primary-approach counts:
-    # classes are indexed valid=0, bogon=1, unrouted=2, invalid=3.
-    primary = classifier.approach_names[0]
-    exact_counts = exact.flow_counts[primary]
-    assert triaged.triage is not None
-    totals = triaged.triage.class_totals
-    assert totals[1] == exact_counts[1] and totals[2] == exact_counts[2]
-    assert totals[3] <= exact_counts[3] and totals[0] >= exact_counts[0]
-    assert triaged.n_flows == len(big)
-
-    speedup = base_s / sketch_s
-    benchmark.extra_info["rows"] = len(big)
-    benchmark.extra_info["baseline_seconds"] = round(base_s, 2)
-    benchmark.extra_info["sketch_seconds"] = round(sketch_s, 2)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    save_artefact(
-        "perf_sketch_stream",
-        "\n".join(
-            [
-                "sketch triage vs the exact parallel stream "
-                f"({len(big)} rows, 4 workers)",
-                f"  exact x4   {base_s:8.2f}s  "
-                f"{len(big) / base_s:12.0f} rows/s",
-                f"  sketch x4  {sketch_s:8.2f}s  "
-                f"{len(big) / sketch_s:12.0f} rows/s",
-                f"  speedup {speedup:.2f}x "
-                "(acceptance: >= 3x the same-run baseline)",
-                "  bogon/unrouted exact, invalid lower bound, "
-                "valid upper bound: yes",
-            ]
-        ),
-    )
-    assert speedup >= 3.0, (
-        f"sketch triage only {speedup:.2f}x over the parallel baseline"
     )
 
 

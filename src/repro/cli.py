@@ -286,6 +286,7 @@ def _cmd_acl(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     manifest = _obs_begin(args, "classify")
     path = pathlib.Path(args.flows)
+    default_path = manifest_path_for(path)
     quarantine = None
     try:
         if path.suffix == ".npz":
@@ -298,6 +299,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             )
     except (OSError, IngestError) as exc:
         print(f"cannot load {path}: {exc}", file=sys.stderr)
+        # Next to the input only if there is a directory to write into.
+        _obs_finish(
+            args,
+            manifest,
+            exit_code=2,
+            complete=False,
+            default_path=default_path if path.parent.is_dir() else None,
+        )
         return 2
     if quarantine:
         print(quarantine.render(), file=sys.stderr)
@@ -310,24 +319,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         n_workers=args.workers,
         chunk_rows=args.chunk_rows,
         policy=args.policy,
-        triage=args.triage,
     )
     print(
         f"classified {stream.n_flows} flows in {stream.n_chunks} chunk(s)"
     )
-    if stream.triage is not None:
-        print(stream.triage.render())
-    else:
-        header = f"{'approach':<14}" + "".join(
-            f"{cls.name.lower():>10}" for cls in TrafficClass
+    header = f"{'approach':<14}" + "".join(
+        f"{cls.name.lower():>10}" for cls in TrafficClass
+    )
+    print(header)
+    for name in stream.approaches:
+        counts = stream.class_counts(name)
+        print(
+            f"{name:<14}"
+            + "".join(f"{counts[cls]:>10}" for cls in TrafficClass)
         )
-        print(header)
-        for name in stream.approaches:
-            counts = stream.class_counts(name)
-            print(
-                f"{name:<14}"
-                + "".join(f"{counts[cls]:>10}" for cls in TrafficClass)
-            )
     if stream.failures:
         print(stream.failures.render(), file=sys.stderr)
     exit_code = 0
@@ -345,7 +350,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         extra_spans=stream.spans,
         exit_code=exit_code,
         complete=stream.complete,
-        default_path=manifest_path_for(path),
+        default_path=default_path,
     )
     return exit_code
 
@@ -574,15 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="chunk_rows",
         type=_positive_int,
         default=None,
-        help=f"rows per streaming chunk (default: {DEFAULT_CHUNK_ROWS}, "
-        "or a larger constant-memory default with --triage)",
-    )
-    classify.add_argument(
-        "--triage",
-        choices=("sketch",),
-        default=None,
-        help="constant-memory sketch triage instead of the exact "
-        "matrix engine (approximate class counters + top spoofed /24s)",
+        help=f"rows per streaming chunk (default: {DEFAULT_CHUNK_ROWS})",
     )
     classify.set_defaults(func=_cmd_classify)
 

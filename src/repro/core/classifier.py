@@ -39,8 +39,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
-    from repro.sketch.triage import SketchTriageState, TriageDigest
-
 import numpy as np
 
 from repro.bgp.rib import GlobalRIB
@@ -64,14 +62,6 @@ from repro.obs.trace import current_tracer, enable_tracing
 #: :class:`FlowTable` instead of pre-cut chunks.
 DEFAULT_CHUNK_ROWS = 262_144
 
-#: Default rows per chunk on the sketch-triage path. Triage keeps no
-#: per-row state (no label vectors), so much larger
-#: chunks cost nothing in memory while amortising per-chunk overhead —
-#: chunk iteration, digest fixed costs, pool dispatch — over 4× the
-#: rows, and giving the (src, member) dedupe sort more repetition to
-#: collapse.
-TRIAGE_CHUNK_ROWS = 1_048_576
-
 #: Environment override for the multiprocessing start method used by
 #: ``classify_stream`` (e.g. ``MP_START_METHOD=spawn`` in CI exercises
 #: the non-fork fallback on fork-capable hosts).
@@ -93,10 +83,6 @@ _STREAM_CLASSIFIER: "SpoofingClassifier | None" = None
 _STREAM_TABLE: FlowTable | None = None
 _STREAM_INJECTOR: FaultInjector | None = None
 
-#: The armed sketch-triage state (``triage="sketch"``), delivered the
-#: same way.
-_STREAM_TRIAGE: "SketchTriageState | None" = None
-
 #: The registry of every mutable module global a pool worker reads:
 #: ``_stream_init`` sets exactly these names, and reprolint rule RL203
 #: rejects any pool submit whose worker reads an unregistered global.
@@ -105,7 +91,6 @@ _STREAM_GLOBALS = (
     "_STREAM_CLASSIFIER",
     "_STREAM_TABLE",
     "_STREAM_INJECTOR",
-    "_STREAM_TRIAGE",
 )
 
 
@@ -179,7 +164,6 @@ def _stream_init(
     table: FlowTable | None,
     injector: FaultInjector | None,
     tracing: bool,
-    triage: "SketchTriageState | None",
 ) -> None:
     """Pool initializer: adopt the worker state (every start method).
 
@@ -194,11 +178,9 @@ def _stream_init(
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     global _STREAM_CLASSIFIER, _STREAM_TABLE, _STREAM_INJECTOR
-    global _STREAM_TRIAGE
     _STREAM_CLASSIFIER = classifier
     _STREAM_TABLE = table
     _STREAM_INJECTOR = injector
-    _STREAM_TRIAGE = triage
     if tracing:
         enable_tracing()
 
@@ -224,15 +206,11 @@ def _summarize(
     )
 
 
-def _stream_worker(
-    payload: tuple[Any, bool, int, int]
-) -> "ChunkSummary | TriageDigest":
+def _stream_worker(payload: tuple[Any, bool, int, int]) -> ChunkSummary:
     """Classify one chunk in a pool worker.
 
     ``job`` is either a ``(start, stop)`` row range of the
-    fork-inherited table or a pickled :class:`FlowTable` chunk. When a
-    triage state is armed the chunk is digested through the sketches
-    instead — the exact matrix engine is never touched.
+    fork-inherited table or a pickled :class:`FlowTable` chunk.
     """
     job, keep_labels, chunk_index, attempt = payload
     assert _STREAM_CLASSIFIER is not None
@@ -243,8 +221,6 @@ def _stream_worker(
     else:
         assert _STREAM_TABLE is not None
         chunk = _STREAM_TABLE.select(slice(*job))
-    if _STREAM_TRIAGE is not None:
-        return _STREAM_TRIAGE.digest(chunk, _STREAM_CLASSIFIER._rib)
     return _summarize(_STREAM_CLASSIFIER, chunk, keep_labels)
 
 
@@ -295,7 +271,7 @@ class SpoofingClassifier:
         """Keep one supervised pool for the length of the block.
 
         Inside the block every parallel :meth:`classify_stream` call
-        over a chunk iterable (no fault hook, no triage) runs on the
+        over a chunk iterable (no fault hook) runs on the
         same :class:`PoolSupervisor` instead of starting its own, so
         its workers survive from call to call and are rebuilt only when
         :attr:`state_version` moves. Leaving the block, however it is
@@ -444,16 +420,13 @@ class SpoofingClassifier:
         chunk_rows: int | None = None,
         policy: FailurePolicy | str | None = None,
         fault_injector: FaultInjector | None = None,
-        triage: str | None = None,
-        triage_members: "np.ndarray | list[int] | None" = None,
     ) -> StreamClassificationResult:
         """Classify a stream of flow chunks with bounded memory.
 
         ``flow_chunks`` is an iterable of :class:`FlowTable` chunks (a
         single table is chunked into ``chunk_rows`` slices first;
         ``chunk_rows`` must be positive, and ``None`` picks
-        :data:`DEFAULT_CHUNK_ROWS`, or the larger
-        :data:`TRIAGE_CHUNK_ROWS` on the constant-memory triage path).
+        :data:`DEFAULT_CHUNK_ROWS`).
         With ``n_workers`` a process pool classifies chunks in
         parallel; per-chunk class counters, member sets, span records
         and (when ``keep_labels``) label vectors are merged in chunk
@@ -472,30 +445,9 @@ class SpoofingClassifier:
         :class:`~repro.errors.ClassificationError` naming it unless the
         policy degrades. ``fault_injector`` is the deterministic
         testing seam (:mod:`repro.testing.faults`).
-
-        ``triage="sketch"`` swaps the exact matrix engine for the
-        constant-memory sketch triage (:mod:`repro.sketch`) — the
-        result's exact per-approach counters stay empty and
-        ``result.triage`` carries the
-        :class:`~repro.sketch.triage.SketchTriageResult` instead;
-        ``triage_members`` overrides the member universe the
-        signatures are armed for (defaults to the table's distinct
-        members, falling back to the RIB's observed AS universe for
-        chunk iterables).
         """
-        if triage not in (None, "sketch"):
-            raise ValueError(
-                f"unknown triage {triage!r}; expected None or 'sketch'"
-            )
-        if triage is not None and keep_labels:
-            raise ValueError(
-                "triage and keep_labels are mutually exclusive: the sketch "
-                "path never materialises label vectors"
-            )
         if chunk_rows is None:
-            chunk_rows = (
-                TRIAGE_CHUNK_ROWS if triage is not None else DEFAULT_CHUNK_ROWS
-            )
+            chunk_rows = DEFAULT_CHUNK_ROWS
         if chunk_rows <= 0:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
         policy = FailurePolicy.coerce(policy) or FailurePolicy("fail_fast")
@@ -503,42 +455,12 @@ class SpoofingClassifier:
         merged = StreamClassificationResult(
             self.approach_names, keep_labels=keep_labels
         )
-        triage_state = None
-        if triage == "sketch":
-            # Imported lazily: repro.sketch is import-cycle-free with
-            # repro.core only because the dependency points this way.
-            from repro.sketch.triage import (
-                SketchTriageResult,
-                build_triage_state,
-            )
-
-            if triage_members is not None:
-                members = np.asarray(triage_members, dtype=np.int64)
-            elif table is not None:
-                members = table.members()
-            else:
-                members = np.asarray(
-                    self._rib.indexer.asns(), dtype=np.int64
-                )
-            primary = self.approach_names[0]
-            triage_state = build_triage_state(
-                self._approaches[primary], self._bogons, members
-            )
-            merged.triage = SketchTriageResult(
-                triage_state.params, triage_state.approach_name
-            )
         stream_start = time.perf_counter()
         latency = current_metrics().histogram("stream.chunk_seconds")
 
-        def absorb(summary: "ChunkSummary | TriageDigest") -> None:
+        def absorb(summary: ChunkSummary) -> None:
             latency.observe(summary.seconds)
-            if isinstance(summary, ChunkSummary):
-                merged.absorb(summary)
-                return
-            assert merged.triage is not None
-            merged.triage.absorb(summary)
-            merged.n_flows += summary.n_flows
-            merged.n_chunks += 1
+            merged.absorb(summary)
 
         if n_workers is None or n_workers <= 1:
             chunks = (
@@ -548,8 +470,7 @@ class SpoofingClassifier:
                 try:
                     absorb(
                         self._inline_summary(
-                            chunk, keep_labels, index, 1, fault_injector,
-                            triage_state,
+                            chunk, keep_labels, index, 1, fault_injector
                         )
                     )
                 except Exception as exc:
@@ -564,20 +485,11 @@ class SpoofingClassifier:
         else:
             kept = self._kept_pool
             scope: AbstractContextManager[PoolSupervisor]
-            if (
-                kept is not None
-                and table is None
-                and fault_injector is None
-                and triage_state is None
-            ):
+            if kept is not None and table is None and fault_injector is None:
                 scope = nullcontext(kept)
             else:
                 scope = PoolSupervisor(
-                    self,
-                    n_workers,
-                    table=table,
-                    injector=fault_injector,
-                    triage_state=triage_state,
+                    self, n_workers, table=table, injector=fault_injector
                 )
             supervisor: PoolSupervisor
             with scope as supervisor:
@@ -615,14 +527,6 @@ class SpoofingClassifier:
         registry = current_metrics()
         registry.counter("stream.chunks").inc(merged.n_chunks)
         registry.counter("stream.rows").inc(merged.n_flows)
-        if merged.triage is not None:
-            registry.counter("sketch.chunks").inc(merged.n_chunks)
-            registry.counter("sketch.rows").inc(merged.n_flows)
-            for name, count in merged.triage.class_counts().items():
-                registry.counter(f"sketch.rows.{name}").inc(count)
-            registry.counter("sketch.heavy_hitters").inc(
-                len(merged.triage.spoofed_sources)
-            )
         for approach in merged.approaches:
             counts = merged.flow_counts[approach]
             for cls in TrafficClass:
@@ -644,13 +548,10 @@ class SpoofingClassifier:
         index: int,
         attempt: int,
         injector: FaultInjector | None,
-        triage_state: "SketchTriageState | None" = None,
-    ) -> "ChunkSummary | TriageDigest":
+    ) -> ChunkSummary:
         """Classify one chunk in the current process."""
         if injector is not None:
             injector(index, attempt, False)
-        if triage_state is not None:
-            return triage_state.digest(chunk, self._rib)
         return _summarize(self, chunk, keep_labels)
 
 
@@ -682,7 +583,6 @@ class PoolSupervisor:
         *,
         table: FlowTable | None = None,
         injector: FaultInjector | None = None,
-        triage_state: "SketchTriageState | None" = None,
     ) -> None:
         """``table`` is the whole table a per-call run classifies: under
         fork it travels to the workers with the pool and chunks become
@@ -696,7 +596,6 @@ class PoolSupervisor:
         self._n_workers = n_workers
         self._table = table
         self._injector = injector
-        self._triage_state = triage_state
         self._pool: Pool | None = None
         self._armed_version = classifier.state_version
 
@@ -737,7 +636,6 @@ class PoolSupervisor:
                 self._table,
                 self._injector,
                 current_tracer().enabled,
-                self._triage_state,
             ),
         )
         current_metrics().counter("stream.pool_starts").inc()
@@ -756,7 +654,7 @@ class PoolSupervisor:
         keep_labels: bool,
         policy: FailurePolicy,
         failures: FailureLog,
-    ) -> "Iterator[ChunkSummary | TriageDigest]":
+    ) -> Iterator[ChunkSummary]:
         """Fan chunks out over the pool, yield their summaries in order.
 
         A windowed ``apply_async`` scheduler: chunks are submitted with
@@ -845,7 +743,7 @@ class PoolSupervisor:
             try:
                 summary = classifier._inline_summary(
                     chunk, keep_labels, failed.index, next_attempt,
-                    self._injector, self._triage_state,
+                    self._injector,
                 )
             except Exception as inline_exc:
                 if policy.mode == "degrade":

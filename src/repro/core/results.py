@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.sketch.triage import SketchTriageResult
 
 from repro.bgp.rib import GlobalRIB
 from repro.core.classes import TrafficClass
@@ -369,11 +365,6 @@ class StreamClassificationResult:
         #: Span records merged from every chunk (worker or in-process)
         #: when tracing was enabled — empty otherwise.
         self.spans: list[SpanRecord] = []
-        #: The merged sketch-triage aggregate when the stream ran with
-        #: ``triage="sketch"`` — the exact per-approach counters above
-        #: then stay empty (the matrix engine never ran). ``None`` on
-        #: every exact run.
-        self.triage: "SketchTriageResult | None" = None
         self._keep_labels = keep_labels
         self._label_chunks: dict[str, list[np.ndarray]] = (
             {a: [] for a in self.approaches} if keep_labels else {}
@@ -446,19 +437,13 @@ class StreamClassificationResult:
         return self.failures.complete
 
     def counters(self) -> dict[str, object]:
-        """The run counters a manifest records.
-
-        ``invalid_counts`` is empty on a sketch-triage run, whose exact
-        per-approach counters never ran.
-        """
+        """The run counters a manifest records."""
         invalid = int(TrafficClass.INVALID)
         return {
             "n_flows": self.n_flows,
             "n_chunks": self.n_chunks,
             "rows_dropped": self.failures.rows_dropped,
-            "invalid_counts": {}
-            if self.triage is not None
-            else {
+            "invalid_counts": {
                 name: int(counts[invalid])
                 for name, counts in self.flow_counts.items()
             },

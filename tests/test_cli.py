@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -51,6 +53,36 @@ class TestCommands:
 
     def test_acl_unknown_peer(self, capsys):
         assert main(["acl", "--preset", "tiny", "--peer", "999999"]) == 2
+
+
+class TestClassifyUnreadableInput:
+    """``classify`` exits 2 on a flow file it cannot load and still
+    writes its manifest, marked as a failed, incomplete run."""
+
+    @pytest.mark.parametrize(
+        "content", [None, "not,a,flow,header\n1,2,3,4\n"],
+        ids=["missing", "bad-header"],
+    )
+    def test_manifest_written_with_exit_2(self, tmp_path, content, capsys):
+        path = tmp_path / "flows.csv"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "m.json"
+        argv = ["classify", str(path), "--preset", "tiny"]
+        assert main([*argv, "--manifest-out", str(out)]) == 2
+        assert "cannot load" in capsys.readouterr().err
+        data = json.loads(out.read_text())
+        assert data["command"] == "classify"
+        assert data["outcome"] == {"exit_code": 2, "complete": False}
+
+    def test_trace_manifest_in_cwd_when_input_dir_is_missing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["classify", "gone/flows.csv", "--preset", "tiny", "--trace"]
+        assert main(argv) == 2
+        data = json.loads((tmp_path / "repro_classify.manifest.json").read_text())
+        assert data["outcome"] == {"exit_code": 2, "complete": False}
 
 
 class TestWatchResumeFromUnreadableState:

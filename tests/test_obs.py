@@ -375,16 +375,12 @@ class TestStatsMerge:
 # -- per-chunk latency -----------------------------------------------------
 
 
-@pytest.mark.parametrize("triage", [None, "sketch"])
 @pytest.mark.parametrize("n_workers", [None, 2])
 def test_chunk_seconds_one_positive_observation_per_chunk(
-    world, clean_obs, n_workers, triage
+    world, clean_obs, n_workers
 ):
     stream = world.classifier.classify_stream(
-        world.scenario.flows,
-        n_workers=n_workers,
-        chunk_rows=5000,
-        triage=triage,
+        world.scenario.flows, n_workers=n_workers, chunk_rows=5000
     )
     assert stream.n_chunks > 1
     latency = current_metrics().histogram("stream.chunk_seconds")

@@ -427,8 +427,17 @@ def churning_windows(n_windows=4):
     return events
 
 
+@pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
 class TestOnePoolPerRun:
-    """A watch run keeps one supervised pool across its windows."""
+    """A watch run keeps one supervised pool across its windows.
+
+    A pool that is replaced without being closed is still terminated by
+    its finalizer, so the leak shows only as the ``ResourceWarning``
+    that finalizer raises; the class treats that warning as an error.
+    """
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_quiet_run_starts_one_pool(self, method, monkeypatch, clean_obs):

@@ -7,7 +7,7 @@ durable path, directly or through a helper whose call tree fsyncs, and
 ``wal.sync()`` dominates checkpoint save.
 
 Dtype/shape rules run abstract interpretation over numpy expressions
-in the configured dtype scope (``core``/``net``/``cones``/``sketch``):
+in the configured dtype scope (``core``/``net``/``cones``):
 
 * RL304 — silent dtype round-trips and upcasts (integer data
   accumulated through a float64 temporary and cast back, float32/

@@ -29,7 +29,6 @@ def _default_doc_packages() -> tuple[str, ...]:
         "src/repro/io",
         "src/repro/cones",
         "src/repro/obs",
-        "src/repro/sketch",
     )
 
 
@@ -126,13 +125,11 @@ class LintConfig:
         {"pickle.dumps", "pickle.dump"}
     )
     #: Directories whose numpy code the dtype/shape abstract
-    #: interpretation (RL304/RL305) covers — the hot paths plus the
-    #: sketch kernels.
+    #: interpretation (RL304/RL305) covers — the hot paths.
     dtype_scope_dirs: tuple[str, ...] = (
         "src/repro/core",
         "src/repro/net",
         "src/repro/cones",
-        "src/repro/sketch",
     )
     #: Packages ``--all-gates`` runs the annotation-floor gate over,
     #: and the floor itself (mirrors the mypy strict surface).
