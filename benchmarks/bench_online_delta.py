@@ -33,14 +33,15 @@ N_EVENTS = 30
 
 def _pick_delta_route(rib):
     """A live path to re-announce for a prefix that doesn't carry it."""
-    paths_by_prefix = {}
-    for prefix_id in rib.live_prefix_ids():
-        paths_by_prefix[prefix_id] = rib._paths_per_prefix[prefix_id]
+    tuples = rib._path_table.tuples
+    paths_by_prefix: dict[int, set] = {}
+    for key in sorted(rib._routes):
+        paths_by_prefix.setdefault(key >> 32, set()).add(tuples[key & 0xFFFFFFFF])
     for prefix_id, paths in paths_by_prefix.items():
         for other_id, other_paths in paths_by_prefix.items():
             if other_id == prefix_id:
                 continue
-            for path in other_paths:
+            for path in sorted(other_paths):
                 if path not in paths:
                     return rib.prefix_by_id(prefix_id), path
     raise RuntimeError("no re-announceable path found")
@@ -55,7 +56,8 @@ def _pick_path_change(rib, observations):
     """
     for update in update_stream(observations):
         path = update.path
-        if update.withdrawal or rib._routes_per_path.get(path) != 1:
+        path_id = rib._path_table.ids.get(path)
+        if update.withdrawal or rib._routes_per_path[path_id] != 1:
             continue
         if all(rib._asn_support[asn] > 1 for asn in set(path)):
             return update.prefix, path

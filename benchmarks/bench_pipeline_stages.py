@@ -31,22 +31,20 @@ def bench_route_propagation(benchmark, world):
 
 
 def bench_rib_construction(benchmark, world):
-    """Rebuild the RIB from the stored observation stream."""
+    """Rebuild the RIB from the stored route batch."""
     from repro.bgp.simulate import simulate_bgp
 
     rng = np.random.default_rng(world.config.seed)
-    observations = list(
-        simulate_bgp(
-            world.topo,
-            world.policies,
-            world.collectors,
-            world.ixp.route_server,
-            rng,
-        )
+    batch = simulate_bgp(
+        world.topo,
+        world.policies,
+        world.collectors,
+        world.ixp.route_server,
+        rng,
     )
 
     rib = benchmark.pedantic(
-        GlobalRIB.from_observations, args=(observations,), rounds=2,
+        GlobalRIB.from_observations, args=(batch,), rounds=2,
         iterations=1,
     )
     benchmark.extra_info["observations"] = len(observations)

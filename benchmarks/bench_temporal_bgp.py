@@ -20,7 +20,7 @@ def bench_temporal_bgp_growth(benchmark, save_artefact):
         simulate_bgp(
             world.topo, world.policies, world.collectors,
             world.ixp.route_server, rng,
-        )
+        ).observations()
     )
 
     study = benchmark.pedantic(

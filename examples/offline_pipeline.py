@@ -43,7 +43,7 @@ def export_world(workdir: pathlib.Path) -> dict[str, pathlib.Path]:
     """Phase 1: produce the input files a real deployment would have."""
     world = build_world(WorldConfig.tiny(), classify=False)
     rng = np.random.default_rng(world.config.seed)
-    observations = simulate_bgp(
+    routes = simulate_bgp(
         world.topo, world.policies, world.collectors,
         world.ixp.route_server, rng,
     )
@@ -52,7 +52,7 @@ def export_world(workdir: pathlib.Path) -> dict[str, pathlib.Path]:
         "bogons": workdir / "bogons.txt",
         "flows": workdir / "flows.npz",
     }
-    n_records = write_route_dump(observations, paths["routes"])
+    n_records = write_route_dump(routes.observations(), paths["routes"])
     write_bogon_file(BOGON_PREFIXES, paths["bogons"])
     save_flows_npz(world.scenario.flows, paths["flows"])
     print(

@@ -13,13 +13,28 @@ detection method needs:
 * the set of unique AS paths (relationship inference's raw material),
 * exclusive coverage per prefix/origin in /24 equivalents (Figure 2).
 
-Two ingest modes keep the same bookkeeping (routes per prefix, origin
-votes, refcounted paths, ASNs and adjacencies):
+The route store keys everything by ints. Paths are interned once in a
+:class:`~repro.bgp.messages.PathTable`; a live route is one packed
+``prefix id << 32 | path id`` key. Per path it keeps the number of
+live routes over it, per prefix the origin votes and, per AS on its
+live paths, the number of those paths; globally it refcounts the ASNs
+and adjacencies of the live paths.
 
-* :meth:`GlobalRIB.add_all` — the paper's batch *union* semantics, one
-  loop over the whole stream (:meth:`GlobalRIB.add` is a one-item
-  batch). Withdrawals are counted, never applied.
-* :meth:`GlobalRIB.apply` — the online pipeline's *delta* semantics.
+Two ingest modes keep that bookkeeping:
+
+* :meth:`GlobalRIB.add_all` — the paper's batch *union* semantics.
+  It folds one :class:`~repro.bgp.messages.RouteBatch` with numpy: one
+  sort over the packed route keys gives the new routes, and with them
+  the accepted, duplicate, discarded and withdrawal counts; the
+  supports are folds over the CSR expansion of the new routes' paths.
+  Python work is per prefix (one bulk dict update each), never per
+  route. Observation objects are converted to a batch and take the
+  same fold (:meth:`GlobalRIB.add` is a one-item batch). Withdrawals
+  are counted, never applied. :meth:`GlobalRIB.path_member_pairs`
+  serves the fold's own arrays until the state next changes.
+* :meth:`GlobalRIB.apply` — the online pipeline's *delta* semantics,
+  pure Python per event over the same int-keyed store, which pickles
+  with the RIB.
   A withdrawal removes exactly the live ``(prefix, path)`` route it
   names; announcements (re-)install routes. Each call returns a
   :class:`RIBDelta` describing what changed, and — when the finalized
@@ -35,24 +50,34 @@ parity suite asserts this invariant at every event.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
+from operator import attrgetter
 
 import numpy as np
 
-from repro.bgp.messages import RouteObservation, path_adjacencies
+from repro.bgp.messages import (
+    PathTable,
+    RouteBatch,
+    RouteObservation,
+    path_adjacencies,
+)
 from repro.net.prefix import Prefix
 from repro.net.prefixset import PrefixSet
 from repro.net.trie import PrefixTrie
 from repro.obs.metrics import current_metrics
-from repro.util.indexing import AsnIndexer
+from repro.util.indexing import AsnIndexer, csr_positions, distinct
 
 #: Announcement length bounds (paper: discard more specific than /24,
 #: less specific than /8).
 MIN_PLEN = 8
 MAX_PLEN = 24
+
+#: A route key is ``prefix id << _SHIFT | path id``; adjacency, vote
+#: and member keys pack two 32-bit values the same way.
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
 
 #: One past the last IPv4 address; segment boundaries at or beyond this
 #: point are never painted.
@@ -118,14 +143,15 @@ class GlobalRIB:
     def __init__(self) -> None:
         self._prefix_ids: dict[Prefix, int] = {}
         self._prefixes: list[Prefix] = []
-        self._origins_per_prefix: list[dict[int, int]] = []  # origin → votes
-        self._path_members_per_prefix: list[set[int]] = []
-        self._paths_per_prefix: list[set[tuple[int, ...]]] = []
-        self._paths: set[tuple[int, ...]] = set()
-        self._adjacencies: set[tuple[int, int]] = set()
-        #: Live-route refcounts: how many live (prefix, path) routes use
-        #: a path; how many live paths contain an ASN / an adjacency.
-        self._routes_per_path: dict[tuple[int, ...], int] = {}
+        self._path_table = PathTable()
+        #: Live routes as packed ``prefix id << 32 | path id`` keys.
+        self._routes: set[int] = set()
+        #: Live routes per path id (0 for a dead or withdrawn path).
+        self._routes_per_path: list[int] = []
+        #: Per prefix id: origin → votes, and AS → live paths holding it.
+        self._origins_per_prefix: list[dict[int, int]] = []
+        self._members_per_prefix: list[dict[int, int]] = []
+        #: How many live paths contain an ASN / an adjacency.
         self._asn_support: dict[int, int] = {}
         self._adj_support: dict[tuple[int, int], int] = {}
         self._discarded = 0
@@ -134,8 +160,13 @@ class GlobalRIB:
         self._withdrawals = 0
         self._withdrawals_applied = 0
         self._withdrawals_ignored = 0
-        self._path_member_cache: dict[tuple[int, ...], frozenset[int]] = {}
         self._finalized: "_FinalizedRIB | None" = None
+        #: :meth:`path_member_pairs` as the fold of an empty RIB left
+        #: it; dropped by any later change and by pickling.
+        self._member_pairs: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_member_pairs": None}
 
     # -- construction -----------------------------------------------------
 
@@ -146,8 +177,8 @@ class GlobalRIB:
         """
         return self.add_all((observation,)) == 1
 
-    def add_all(self, observations: Iterable[RouteObservation]) -> int:
-        """Ingest a stream with union semantics; returns accepted count.
+    def add_all(self, routes: RouteBatch | Iterable[RouteObservation]) -> int:
+        """Ingest routes with union semantics; returns accepted count.
 
         Withdrawals are counted but never remove state — the window
         RIB is the *union* of everything observed (Section 3.3).
@@ -155,79 +186,138 @@ class GlobalRIB:
         are no-ops: they neither count as accepted nor invalidate the
         finalized vectorised views.
 
-        One loop over the stream: a path's ASN and adjacency support
-        and its member set are computed once, when the path is new to
-        the RIB. Prefixes, paths and adjacencies are inserted in
-        first-seen order, so every container iterates exactly as if
-        the observations had been ingested one at a time.
+        A :class:`RouteBatch` is folded whole. Observation objects are
+        collected into a batch first; if their stream raises, what it
+        delivered is still folded before the error propagates.
         """
-        prefix_ids = self._prefix_ids
-        prefixes = self._prefixes
-        origins_per_prefix = self._origins_per_prefix
-        members_per_prefix = self._path_members_per_prefix
-        paths_per_prefix = self._paths_per_prefix
-        routes_per_path = self._routes_per_path
-        member_cache = self._path_member_cache
-        asn_support = self._asn_support
-        adj_support = self._adj_support
-        paths = self._paths
-        adjacencies = self._adjacencies
-        accepted = duplicates = discarded = withdrawals = 0
+        if isinstance(routes, RouteBatch):
+            return self._fold(routes)
+        delivered: list[RouteObservation] = []
         try:
-            for observation in observations:
-                if observation.withdrawal:
-                    withdrawals += 1
-                    continue
-                prefix = observation.prefix
-                path = observation.path
-                prefix_id = prefix_ids.get(prefix)
-                if prefix_id is None:
-                    if not MIN_PLEN <= prefix.length <= MAX_PLEN:
-                        discarded += 1
-                        continue
-                    prefix_id = len(prefixes)
-                    prefix_ids[prefix] = prefix_id
-                    prefixes.append(prefix)
-                    origins_per_prefix.append(defaultdict(int))
-                    members_per_prefix.append(set())
-                    paths_per_prefix.append({path})
-                else:
-                    # Insert first, then test by size: one path hash
-                    # serves the duplicate check and the insert.
-                    prefix_paths = paths_per_prefix[prefix_id]
-                    known = len(prefix_paths)
-                    prefix_paths.add(path)
-                    if len(prefix_paths) == known:
-                        duplicates += 1
-                        continue
-                accepted += 1
-                origins_per_prefix[prefix_id][path[-1]] += 1
-                routes = routes_per_path.get(path, 0)
-                routes_per_path[path] = routes + 1
-                if routes:
-                    members = member_cache[path]
-                else:
-                    members = member_cache[path] = frozenset(path)
-                    paths.add(path)
-                    for asn in members:
-                        asn_support[asn] = asn_support.get(asn, 0) + 1
-                    for pair in path_adjacencies(path):
-                        count = adj_support.get(pair, 0)
-                        if not count:
-                            adjacencies.add(pair)
-                        adj_support[pair] = count + 1
-                prefix_members = members_per_prefix[prefix_id]
-                if not members <= prefix_members:
-                    prefix_members.update(members - prefix_members)
+            delivered.extend(routes)
         finally:
-            self._accepted += accepted
-            self._duplicates += duplicates
-            self._discarded += discarded
-            self._withdrawals += withdrawals
-            self._withdrawals_ignored += withdrawals
-            if accepted:
-                self._finalized = None
+            accepted = self._fold(RouteBatch.from_observations(delivered))
         return accepted
+
+    def _fold(self, batch: RouteBatch) -> int:
+        """Union ``batch`` into the store (see the module doc)."""
+        lengths = np.fromiter(
+            map(attrgetter("length"), batch.prefixes), np.int64,
+            len(batch.prefixes),
+        )
+        in_range = (lengths >= MIN_PLEN) & (lengths <= MAX_PLEN)
+        announced = ~batch.withdrawal
+        rows = np.flatnonzero(announced & in_range[batch.prefix])
+        n_announced = int(np.count_nonzero(announced))
+        batch_prefix, batch_path = batch.prefix[rows], batch.path[rows]
+        # RIB ids of the batch's prefixes, allocated in first-seen order.
+        seen, first = np.unique(batch_prefix, return_index=True)
+        seen = seen[np.argsort(first)]
+        prefix_ids = np.zeros(len(batch.prefixes), dtype=np.int64)
+        prefix_ids[seen] = self._intern_prefixes(
+            list(map(batch.prefixes.__getitem__, seen.tolist()))
+        )
+        used = distinct(batch_path)
+        path_ids = np.zeros(len(batch.paths), dtype=np.int64)
+        path_ids[used] = self._path_table.intern_many(
+            list(map(batch.paths.tuples.__getitem__, used.tolist()))
+        )
+        keys = distinct(
+            (prefix_ids[batch_prefix] << _SHIFT) | path_ids[batch_path]
+        )
+        if self._routes:
+            known = np.fromiter(
+                map(self._routes.__contains__, keys.tolist()), bool, keys.size
+            )
+            keys = keys[~known]
+        self._install(keys)
+        self._accepted += keys.size
+        self._duplicates += rows.size - keys.size
+        self._discarded += n_announced - rows.size
+        self._withdrawals += len(batch) - n_announced
+        self._withdrawals_ignored += len(batch) - n_announced
+        if keys.size:
+            self._finalized = None
+        return int(keys.size)
+
+    def _intern_prefixes(self, prefixes: list[Prefix]) -> list[int]:
+        """The ids of distinct ``prefixes``, allocating the new ones."""
+        ids = self._prefix_ids
+        new = [prefix for prefix in prefixes if prefix not in ids]
+        start = len(self._prefixes)
+        ids.update(zip(new, range(start, start + len(new))))
+        self._prefixes.extend(new)
+        self._origins_per_prefix.extend({} for _ in new)
+        self._members_per_prefix.extend({} for _ in new)
+        return list(map(ids.__getitem__, prefixes))
+
+    def _install(self, keys: np.ndarray) -> None:
+        """Add the new routes ``keys`` (sorted, none live yet)."""
+        flat, offsets = self._path_table.csr()
+        if flat.size and not 0 <= flat.min() <= flat.max() <= _LOW:
+            raise ValueError("AS numbers must fit in 32 bits")
+        first = not self._routes
+        self._member_pairs = None
+        self._routes.update(keys.tolist())
+        prefix_of, path_of = keys >> _SHIFT, keys & _LOW
+        n_paths = len(self._path_table)
+        routes = np.zeros(n_paths, dtype=np.int64)
+        routes[: len(self._routes_per_path)] = self._routes_per_path
+        born = routes == 0
+        routes += np.bincount(path_of, minlength=n_paths)
+        born &= routes > 0
+        self._routes_per_path = routes.tolist()
+        if not keys.size:
+            return
+        # Origin votes: one per route, for its path's last AS.
+        votes, counts = np.unique(
+            (prefix_of << _SHIFT) | flat[offsets[path_of + 1] - 1],
+            return_counts=True,
+        )
+        _add_grouped(self._origins_per_prefix, votes, counts)
+        # Each touched path's distinct ASNs, as a CSR over ``touched``.
+        touched = distinct(path_of)
+        members = distinct(
+            (np.repeat(touched, offsets[touched + 1] - offsets[touched])
+             << _SHIFT) | flat[csr_positions(offsets, touched)]
+        )
+        member_path, member_asn = members >> _SHIFT, members & _LOW
+        member_offsets = np.searchsorted(
+            member_path, np.append(touched, n_paths)
+        )
+        # Per prefix: every route's path members, counted per path.
+        slot = np.searchsorted(touched, path_of)
+        pairs, counts = np.unique(
+            (np.repeat(prefix_of, np.diff(member_offsets)[slot]) << _SHIFT)
+            | member_asn[csr_positions(member_offsets, slot)],
+            return_counts=True,
+        )
+        _add_grouped(self._members_per_prefix, pairs, counts)
+        if first:
+            self._member_pairs = (pairs >> _SHIFT, pairs & _LOW)
+        # Paths that came alive support their ASNs and adjacencies.
+        asns, counts = np.unique(
+            member_asn[born[member_path]], return_counts=True
+        )
+        _add_counts(self._asn_support, asns.tolist(), counts.tolist())
+        new_paths = np.flatnonzero(born)
+        positions = csr_positions(offsets, new_paths)
+        last = np.zeros(positions.size, dtype=bool)
+        last[np.cumsum(offsets[new_paths + 1] - offsets[new_paths]) - 1] = True
+        step = positions[~last]
+        left, right = flat[step], flat[step + 1]
+        hop = left != right  # prepending repeats an AS without a link
+        links, counts = np.unique(
+            (left[hop].astype(np.uint64) << np.uint64(_SHIFT))
+            | right[hop].astype(np.uint64),
+            return_counts=True,
+        )
+        _add_counts(
+            self._adj_support,
+            list(zip((links >> np.uint64(_SHIFT)).tolist(),
+                     (links & np.uint64(_LOW)).tolist())),
+            counts.tolist(),
+        )
 
     def apply(self, observation: RouteObservation) -> RIBDelta:
         """Ingest one observation with delta semantics; patch views.
@@ -236,6 +326,9 @@ class GlobalRIB:
         withdrawals remove the live ``(prefix, path)`` route they name
         (withdrawals of unknown or already-withdrawn routes are counted
         as ignored and change nothing — see :attr:`num_withdrawals_ignored`).
+
+        Pure Python per event: every index it reads is kept by the
+        store itself, so a pickled RIB applies events at full speed.
 
         If the finalized vectorised views exist, they are patched in
         place when possible (counter ``rib.delta_applied``); a change to
@@ -250,6 +343,7 @@ class GlobalRIB:
             delta.applied = self._ingest_announce(observation, delta)
         if not delta.applied:
             return delta
+        self._member_pairs = None
         if self._finalized is not None:
             if delta.rebuild_required or not self._finalized.apply_delta(
                 self, delta
@@ -272,7 +366,12 @@ class GlobalRIB:
             return False
         prefix_id = self._prefix_ids.get(prefix)
         path = observation.path
-        if prefix_id is not None and path in self._paths_per_prefix[prefix_id]:
+        path_id = self._path_table.ids.get(path)
+        if (
+            prefix_id is not None
+            and path_id is not None
+            and prefix_id << _SHIFT | path_id in self._routes
+        ):
             self._duplicates += 1
             return False
         self._accepted += 1
@@ -280,21 +379,19 @@ class GlobalRIB:
             prefix_id = len(self._prefixes)
             self._prefix_ids[prefix] = prefix_id
             self._prefixes.append(prefix)
-            self._origins_per_prefix.append(defaultdict(int))
-            self._path_members_per_prefix.append(set())
-            self._paths_per_prefix.append(set())
+            self._origins_per_prefix.append({})
+            self._members_per_prefix.append({})
             delta.new_prefix_ids.append(prefix_id)
+        if path_id is None:
+            path_id = self._path_table.intern(path)
+            self._routes_per_path.append(0)
         origins = self._origins_per_prefix[prefix_id]
         was_live = bool(origins)
         old_origin = self._majority_origin(prefix_id) if was_live else None
-        self._paths_per_prefix[prefix_id].add(path)
-        origins[path[-1]] += 1
-        members = self._path_member_cache.get(path)
-        if members is None:
-            members = frozenset(path)
-            self._path_member_cache[path] = members
-        if self._routes_per_path.get(path, 0) == 0:
-            self._paths.add(path)
+        self._routes.add(prefix_id << _SHIFT | path_id)
+        origins[path[-1]] = origins.get(path[-1], 0) + 1
+        members = frozenset(path)
+        if not self._routes_per_path[path_id]:
             for asn in members:
                 count = self._asn_support.get(asn, 0)
                 if count == 0:
@@ -303,16 +400,19 @@ class GlobalRIB:
             for pair in path_adjacencies(path):
                 count = self._adj_support.get(pair, 0)
                 if count == 0:
-                    self._adjacencies.add(pair)
                     delta.added_adjacencies.append(pair)
                 self._adj_support[pair] = count + 1
             delta.added_paths.append(path)
-        self._routes_per_path[path] = self._routes_per_path.get(path, 0) + 1
-        prefix_members = self._path_members_per_prefix[prefix_id]
-        added_members = members - prefix_members
+        self._routes_per_path[path_id] += 1
+        prefix_members = self._members_per_prefix[prefix_id]
+        added_members = set()
+        for asn in members:
+            count = prefix_members.get(asn, 0)
+            if count == 0:
+                added_members.add(asn)
+            prefix_members[asn] = count + 1
         if added_members:
-            prefix_members.update(added_members)
-            delta.members_added[prefix_id] = set(added_members)
+            delta.members_added[prefix_id] = added_members
         new_origin = self._majority_origin(prefix_id)
         if not was_live:
             delta.prefixes_now_live.append(prefix_id)
@@ -328,29 +428,28 @@ class GlobalRIB:
         self._withdrawals += 1
         prefix_id = self._prefix_ids.get(observation.prefix)
         path = observation.path
-        if prefix_id is None or path not in self._paths_per_prefix[prefix_id]:
+        path_id = self._path_table.ids.get(path)
+        if (
+            prefix_id is None
+            or path_id is None
+            or prefix_id << _SHIFT | path_id not in self._routes
+        ):
             # Never-announced prefix, unknown path, or duplicate
             # withdrawal: counted once here, never double-applied.
             self._withdrawals_ignored += 1
             return False
         self._withdrawals_applied += 1
-        self._paths_per_prefix[prefix_id].discard(path)
+        self._routes.discard(prefix_id << _SHIFT | path_id)
         origins = self._origins_per_prefix[prefix_id]
         old_origin = self._majority_origin(prefix_id)
         origin = path[-1]
         origins[origin] -= 1
         if origins[origin] == 0:
             del origins[origin]
-        remaining = self._routes_per_path[path] - 1
-        if remaining:
-            self._routes_per_path[path] = remaining
-        else:
-            del self._routes_per_path[path]
-            self._paths.discard(path)
-            # Cache coherence: a dead path's member set must not
-            # survive as a stale "path already seen" marker.
-            self._path_member_cache.pop(path, None)
-            for asn in frozenset(path):
+        members = frozenset(path)
+        self._routes_per_path[path_id] -= 1
+        if not self._routes_per_path[path_id]:
+            for asn in members:
                 self._asn_support[asn] -= 1
                 if self._asn_support[asn] == 0:
                     del self._asn_support[asn]
@@ -359,15 +458,17 @@ class GlobalRIB:
                 self._adj_support[pair] -= 1
                 if self._adj_support[pair] == 0:
                     del self._adj_support[pair]
-                    self._adjacencies.discard(pair)
                     delta.removed_adjacencies.append(pair)
             delta.removed_paths.append(path)
-        old_members = self._path_members_per_prefix[prefix_id]
-        new_members: set[int] = set()
-        for live_path in self._paths_per_prefix[prefix_id]:
-            new_members.update(live_path)
-        removed_members = old_members - new_members
-        self._path_members_per_prefix[prefix_id] = new_members
+        prefix_members = self._members_per_prefix[prefix_id]
+        removed_members = set()
+        for asn in members:
+            count = prefix_members[asn] - 1
+            if count:
+                prefix_members[asn] = count
+            else:
+                del prefix_members[asn]
+                removed_members.add(asn)
         if removed_members:
             delta.members_removed[prefix_id] = removed_members
         if not origins:
@@ -384,10 +485,10 @@ class GlobalRIB:
 
     @classmethod
     def from_observations(
-        cls, observations: Iterable[RouteObservation]
+        cls, routes: RouteBatch | Iterable[RouteObservation]
     ) -> GlobalRIB:
         rib = cls()
-        rib.add_all(observations)
+        rib.add_all(routes)
         return rib
 
     # -- basic accessors -------------------------------------------------
@@ -398,7 +499,7 @@ class GlobalRIB:
 
     @property
     def num_paths(self) -> int:
-        return len(self._paths)
+        return len(self._routes_per_path) - self._routes_per_path.count(0)
 
     @property
     def num_accepted(self) -> int:
@@ -446,7 +547,7 @@ class GlobalRIB:
     @property
     def num_live_routes(self) -> int:
         """Live (prefix, path) routes currently installed."""
-        return sum(map(len, self._paths_per_prefix))
+        return len(self._routes)
 
     def prefixes(self) -> list[Prefix]:
         return list(self._prefixes)
@@ -477,10 +578,9 @@ class GlobalRIB:
 
     def origin_of(self, prefix_id: int) -> int:
         """Primary origin (most observations) of a live prefix."""
-        origins = self._origins_per_prefix[prefix_id]
-        if not origins:
+        if not self._origins_per_prefix[prefix_id]:
             raise ValueError(f"prefix id {prefix_id} has no live routes")
-        return max(origins, key=lambda asn: (origins[asn], -asn))
+        return self._majority_origin(prefix_id)
 
     def origins_of(self, prefix_id: int) -> set[int]:
         """All observed origins (MOAS prefixes have several)."""
@@ -488,12 +588,14 @@ class GlobalRIB:
 
     def path_members(self, prefix_id: int) -> set[int]:
         """Every AS seen on any live path announcing this prefix (Naive)."""
-        return set(self._path_members_per_prefix[prefix_id])
+        return set(self._members_per_prefix[prefix_id])
 
     def path_member_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every ``(prefix id, AS)`` of :meth:`path_members`, as two
         int64 arrays grouped by ascending prefix id."""
-        members = self._path_members_per_prefix
+        if self._member_pairs is not None:
+            return self._member_pairs
+        members = self._members_per_prefix
         counts = np.fromiter(map(len, members), np.int64, len(members))
         asns = np.fromiter(
             chain.from_iterable(members), np.int64, int(counts.sum())
@@ -502,11 +604,11 @@ class GlobalRIB:
 
     def paths(self) -> Iterator[tuple[int, ...]]:
         """All unique live AS paths."""
-        return iter(self._paths)
+        return compress(self._path_table.tuples, self._routes_per_path)
 
     def adjacencies(self) -> set[tuple[int, int]]:
         """Directed (upstream, downstream) AS pairs from all live paths."""
-        return set(self._adjacencies)
+        return set(self._adj_support)
 
     def observed_asns(self) -> set[int]:
         """Every AS appearing on any live path."""
@@ -526,8 +628,12 @@ class GlobalRIB:
         import hashlib
 
         digest = hashlib.sha256()
-        for prefix, prefix_paths in zip(self._prefixes, self._paths_per_prefix):
-            for path in sorted(prefix_paths):
+        keys = np.sort(np.fromiter(self._routes, np.int64, len(self._routes)))
+        path_of = (keys & _LOW).tolist()
+        tuples = self._path_table.tuples.__getitem__
+        for prefix_id, start, end in _groups(keys >> _SHIFT):
+            prefix = self._prefixes[prefix_id]
+            for path in sorted(map(tuples, path_of[start:end])):
                 digest.update(
                     f"{prefix}|{','.join(map(str, path))}\n".encode()
                 )
@@ -587,6 +693,35 @@ class GlobalRIB:
     def exclusive_slash24s_per_origin(self) -> np.ndarray:
         """Per-origin-index LPM-winning coverage in /24 equivalents."""
         return self._final().exclusive_per_origin
+
+
+def _add_counts(table: dict, keys: list, counts: list[int]) -> None:
+    """``table[key] += count`` for each pair; one bulk insert if empty."""
+    if not table:
+        table.update(zip(keys, counts))
+        return
+    for key, count in zip(keys, counts):
+        table[key] = table.get(key, 0) + count
+
+
+def _add_grouped(
+    tables: list[dict[int, int]], keys: np.ndarray, counts: np.ndarray
+) -> None:
+    """:func:`_add_counts` into ``tables[key >> 32]`` for sorted packed
+    ``keys``, each table's key being ``key & 0xFFFFFFFF``: one bulk
+    update per table touched."""
+    values, counts = (keys & _LOW).tolist(), counts.tolist()
+    for table_id, start, end in _groups(keys >> _SHIFT):
+        _add_counts(tables[table_id], values[start:end], counts[start:end])
+
+
+def _groups(owner: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """``(owner, start, end)`` of every run of equal values in ``owner``."""
+    if not owner.size:
+        return iter(())
+    bounds = (np.flatnonzero(np.diff(owner)) + 1).tolist()
+    starts = [0, *bounds]
+    return zip(owner[starts].tolist(), starts, [*bounds, owner.size])
 
 
 def _canonical_segments(

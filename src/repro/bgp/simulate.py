@@ -6,24 +6,99 @@ and the IXP route server records the customer routes its members
 export. A small churn model stamps a slice of the observations as
 mid-window updates and marks some routes as withdrawn-later, so the
 RIB builder exercises the dump + update union the paper performs.
+
+The result is one columnar :class:`~repro.bgp.messages.RouteBatch`.
+Every observation point that holds a route adds one *block*: one path
+and source over all of an announcement group's prefixes. The blocks
+become columns once, at the end, so no per-observation object is made;
+:meth:`~repro.bgp.messages.RouteBatch.observations` yields the rows in
+the order a per-observation generator would.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
 from repro.bgp.collector import CollectorSystem
-from repro.bgp.messages import RouteObservation
+from repro.bgp.messages import PathTable, RouteBatch
 from repro.bgp.propagation import RoutePropagator, RouteType, RoutingOutcome
 from repro.bgp.routeserver import RouteServer
 from repro.net.prefix import Prefix
 from repro.topology.model import ASTopology
-from repro.topology.policies import AnnouncementPolicy
+from repro.topology.policies import AnnouncementGroup, AnnouncementPolicy
+from repro.util.indexing import csr_positions
 from repro.util.timeconst import MEASUREMENT_SECONDS
 
 _CUSTOMER = int(RouteType.CUSTOMER)
+
+
+class _Blocks:
+    """The batch under construction: one block per observation point.
+
+    A block is ``(group, path id, source id, timestamp, from_update,
+    withdrawal)``; its rows are the announcement group's prefixes, in
+    order. The blocks are kept as one flat list of ints, which becomes
+    a ``(blocks, 6)`` array in one ``np.fromiter``.
+    """
+
+    def __init__(self, sources: list[str]) -> None:
+        self.sources = sources
+        self.source_ids = {name: i for i, name in enumerate(sources)}
+        self.prefixes: list[Prefix] = []
+        self._prefix_ids: dict[Prefix, int] = {}
+        self._groups: list[list[int]] = []
+        self.paths = PathTable()
+        self.blocks: list[int] = []
+
+    def group(self, prefixes: list[Prefix]) -> int:
+        """Register one announcement group's prefixes; returns its id."""
+        ids = self._prefix_ids
+        for prefix in prefixes:
+            if prefix not in ids:
+                ids[prefix] = len(self.prefixes)
+                self.prefixes.append(prefix)
+        self._groups.append(list(map(ids.__getitem__, prefixes)))
+        return len(self._groups) - 1
+
+    def add(
+        self,
+        group: int,
+        path: tuple[int, ...],
+        source: int,
+        timestamp: int,
+        from_update: bool,
+        withdrawal: bool = False,
+    ) -> None:
+        self.blocks.extend(
+            (group, self.paths.intern(path), source,
+             timestamp, from_update, withdrawal)
+        )
+
+    def batch(self) -> RouteBatch:
+        group, path, source, timestamp, from_update, withdrawal = (
+            np.fromiter(self.blocks, np.int64, len(self.blocks))
+            .reshape(-1, 6).T
+        )
+        lengths = np.fromiter(
+            map(len, self._groups), np.int64, len(self._groups)
+        )
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        members = np.fromiter(
+            chain.from_iterable(self._groups), np.int64, int(offsets[-1])
+        )
+        sizes = lengths[group]
+        return RouteBatch(
+            prefixes=self.prefixes, paths=self.paths, sources=self.sources,
+            prefix=members[csr_positions(offsets, group)],
+            path=np.repeat(path, sizes), source=np.repeat(source, sizes),
+            timestamp=np.repeat(timestamp, sizes),
+            from_update=np.repeat(from_update.astype(bool), sizes),
+            withdrawal=np.repeat(withdrawal.astype(bool), sizes),
+        )
 
 
 def simulate_bgp(
@@ -35,8 +110,8 @@ def simulate_bgp(
     churn_fraction: float = 0.04,
     rs_export_fraction: float = 0.55,
     failover_prob: float = 0.6,
-) -> Iterator[RouteObservation]:
-    """Yield every route observation of the measurement window.
+) -> RouteBatch:
+    """Every route observation of the measurement window, as one batch.
 
     ``churn_fraction`` of origins are announced only from a random
     point mid-window (their observations carry ``from_update=True``).
@@ -52,6 +127,10 @@ def simulate_bgp(
     selectively announced prefixes (the Naive gap stays).
     """
     propagator = RoutePropagator(topo)
+    blocks = _Blocks(
+        [collector.name for collector in collectors.collectors]
+        + [RouteServer.SOURCE_NAME]
+    )
     rs_members = set(route_server.member_asns) if route_server else set()
     # Dense indices of the route-server members, in the set's order.
     rs_targets = [
@@ -63,22 +142,26 @@ def simulate_bgp(
         churned = rng.random() < churn_fraction
         timestamp = int(rng.integers(1, MEASUREMENT_SECONDS)) if churned else 0
         outcome_of = _OriginOutcomes(propagator, origin)
-        for group in policy.groups:
-            if not group.prefixes:
-                continue
+        groups = [
+            (group, blocks.group(group.prefixes))
+            for group in policy.groups
+            if group.prefixes
+        ]
+        for group, group_id in groups:
             outcome = outcome_of(group.first_hops)
-            yield from _collector_observations(
-                collectors, outcome, group.prefixes, timestamp, churned
+            _collector_blocks(
+                blocks, collectors, outcome, group_id, timestamp, churned
             )
             if route_server is not None:
-                yield from _route_server_observations(
-                    rs_targets, outcome, group.prefixes,
+                _route_server_blocks(
+                    blocks, rs_targets, outcome, group_id,
                     timestamp, churned, rng, rs_export_fraction,
                 )
-        yield from _failover_observations(
-            topo, outcome_of, collectors, route_server, rs_targets,
-            policy, rng, failover_prob, rs_export_fraction,
+        _failover_blocks(
+            blocks, topo, outcome_of, collectors, route_server, rs_targets,
+            policy.origin, groups, rng, failover_prob, rs_export_fraction,
         )
+    return blocks.batch()
 
 
 class _OriginOutcomes:
@@ -103,24 +186,27 @@ class _OriginOutcomes:
         return outcome
 
 
-def _failover_observations(
+def _failover_blocks(
+    blocks: _Blocks,
     topo: ASTopology,
     outcome_of: _OriginOutcomes,
     collectors: CollectorSystem,
     route_server: RouteServer | None,
     rs_targets: list[tuple[int, int | None]],
-    policy: AnnouncementPolicy,
+    origin: int,
+    groups: list[tuple[AnnouncementGroup, int]],
     rng: np.random.Generator,
     failover_prob: float,
     rs_export_fraction: float,
-) -> Iterator[RouteObservation]:
+) -> None:
     """Transient reroute of the open prefixes over backup providers."""
-    origin = policy.origin
     node = topo.ases[origin]
     if len(node.providers) < 2 or rng.random() >= failover_prob:
         return
-    open_groups = [g for g in policy.groups if g.first_hops is None and g.prefixes]
-    if not open_groups:
+    open_ids = [
+        group_id for group, group_id in groups if group.first_hops is None
+    ]
+    if not open_ids:
         return
     failed = int(rng.choice(sorted(node.providers)))
     surviving = set(node.neighbors) - {failed}
@@ -129,68 +215,61 @@ def _failover_observations(
     timestamp = int(rng.integers(2, MEASUREMENT_SECONDS))
     # The failing link first withdraws the old best routes...
     stable = outcome_of(None)
-    for group in open_groups:
+    for group_id in open_ids:
         for collector in collectors.collectors:
+            source = blocks.source_ids[collector.name]
             for peer in collector.peer_asns:
                 old_path = stable.path_from(peer)
                 if old_path is None or failed not in old_path:
                     continue
-                for prefix in group.prefixes:
-                    yield RouteObservation(
-                        prefix=prefix,
-                        path=old_path,
-                        source=collector.name,
-                        timestamp=timestamp - 1,
-                        from_update=True,
-                        withdrawal=True,
-                    )
+                blocks.add(group_id, old_path, source, timestamp - 1,
+                           True, True)
     # ...then the backup paths are announced.
     outcome = outcome_of(surviving)
-    for group in open_groups:
-        yield from _collector_observations(
-            collectors, outcome, group.prefixes, timestamp, True
+    for group_id in open_ids:
+        _collector_blocks(
+            blocks, collectors, outcome, group_id, timestamp, True
         )
         if route_server is not None:
-            yield from _route_server_observations(
-                rs_targets, outcome, group.prefixes,
+            _route_server_blocks(
+                blocks, rs_targets, outcome, group_id,
                 timestamp, True, rng, rs_export_fraction,
             )
 
 
-def _collector_observations(
+def _collector_blocks(
+    blocks: _Blocks,
     collectors: CollectorSystem,
     outcome: RoutingOutcome,
-    prefixes: list[Prefix],
+    group: int,
     timestamp: int,
     from_update: bool,
-) -> Iterator[RouteObservation]:
+) -> None:
     for collector in collectors.collectors:
-        source = collector.name
+        source = blocks.source_ids[collector.name]
         for peer in collector.peer_asns:
             path = outcome.path_from(peer)
-            if path is None:
-                continue
-            for prefix in prefixes:
-                # Positional: keyword construction of this frozen
-                # dataclass costs about 1.6× as much per observation.
-                yield RouteObservation(prefix, path, source, timestamp, from_update)
+            if path is not None:
+                blocks.add(group, path, source, timestamp, from_update)
 
 
-def _route_server_observations(
+def _route_server_blocks(
+    blocks: _Blocks,
     rs_targets: list[tuple[int, int | None]],
     outcome: RoutingOutcome,
-    prefixes: list[Prefix],
+    group: int,
     timestamp: int,
     from_update: bool,
     rng: np.random.Generator,
     rs_export_fraction: float,
-) -> Iterator[RouteObservation]:
+) -> None:
     """Customer routes the members export to the route server.
 
     One ``rng.random()`` draw per member holding a customer route other
     than the origin, in member order: the draw sequence is part of the
     simulated data.
     """
+    source = blocks.source_ids[RouteServer.SOURCE_NAME]
     rtype = outcome.rtype
     for member, index in rs_targets:
         if member == outcome.origin:
@@ -201,7 +280,4 @@ def _route_server_observations(
             path = outcome.path_from(member)
         else:
             continue
-        for prefix in prefixes:
-            yield RouteObservation(
-                prefix, path, RouteServer.SOURCE_NAME, timestamp, from_update
-            )
+        blocks.add(group, path, source, timestamp, from_update)

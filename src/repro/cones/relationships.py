@@ -69,7 +69,7 @@ from operator import getitem
 
 import numpy as np
 
-from repro.util.indexing import int_bincount
+from repro.util.indexing import distinct, int_bincount
 
 
 class InferredRelationship(enum.Enum):
@@ -317,7 +317,7 @@ class RelationshipLedger:
         return (
             (c2p_keys[nonzero], c2p_votes[nonzero]),
             (peer_keys, peer_votes),
-            np.unique(link_keys),
+            distinct(link_keys),
         )
 
     def _decide_links(

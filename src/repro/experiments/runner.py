@@ -97,9 +97,11 @@ def build_world(
     experiments (e.g. Figure 2), which are much faster.
 
     ``keep_observations=True`` retains the raw BGP observation stream
-    in ``world.extras["observations"]`` so the online pipeline
-    (``repro watch``) can replay table dumps as warm-up state and
-    updates as live route events.
+    (the route batch's rows as
+    :class:`~repro.bgp.messages.RouteObservation` objects, in order) in
+    ``world.extras["observations"]`` so the online pipeline (``repro
+    watch``) can replay table dumps as warm-up state and updates as
+    live route events.
     """
     config = config or WorldConfig.default()
     rng = np.random.default_rng(config.seed)
@@ -118,14 +120,13 @@ def build_world(
 
     logger.info("propagating BGP and building the RIB")
     with trace("world.bgp"):
-        observations = simulate_bgp(
-            topo, policies, collectors, ixp.route_server, rng
-        )
-        retained: list | None = None
-        if keep_observations:
-            retained = list(observations)
-            observations = iter(retained)
-        rib = GlobalRIB.from_observations(observations)
+        with trace("world.bgp.propagate"):
+            routes = simulate_bgp(
+                topo, policies, collectors, ixp.route_server, rng
+            )
+        with trace("world.bgp.rib", rows=len(routes)):
+            rib = GlobalRIB()
+            rib.add_all(routes)
         as2org = build_as2org(topo)
     logger.info("computing valid-space maps (%d prefixes)", rib.num_prefixes)
     with trace("world.cones", rows=rib.num_prefixes):
@@ -143,8 +144,8 @@ def build_world(
         approaches=approaches,
         classifier=classifier,
     )
-    if retained is not None:
-        world.extras["observations"] = retained
+    if keep_observations:
+        world.extras["observations"] = list(routes.observations())
     if with_traffic:
         logger.info("generating traffic (%d regular rows)",
                     config.scenario.total_regular_rows)

@@ -114,8 +114,11 @@ def load_flows_csv(
         quarantine = Quarantine(source=str(path))
     bad_before = quarantine.count if quarantine is not None else 0
     columns: dict[str, list[int]] = {name: [] for name in _CSV_HEADER}
-    with trace("io.load_flows_csv", path=str(path)), \
-            open(path, newline="") as handle:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which no
+    # column parser accepts: its row is malformed, not the whole file.
+    with trace("io.load_flows_csv", path=str(path)), open(
+        path, newline="", encoding="utf-8", errors="surrogateescape"
+    ) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

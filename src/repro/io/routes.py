@@ -78,6 +78,12 @@ def _asn(token: str) -> int:
 
 def _parse_record(line: str) -> RouteObservation:
     """One dump line → observation; raises ValueError on any defect."""
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        # The file is read with "surrogateescape": a byte that is not
+        # UTF-8 arrives as a lone surrogate, and marks a bad record.
+        raise ValueError("undecodable byte (not UTF-8)") from exc
     fields = line.split("|")
     if len(fields) != 7 or fields[0] != _RECORD:
         raise ValueError("malformed record")
@@ -124,7 +130,7 @@ def load_route_dump(
     yielded = 0
     quarantined = 0
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for line_number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):

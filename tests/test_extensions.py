@@ -204,7 +204,7 @@ class TestTemporalStudy:
             simulate_bgp(
                 world.topo, world.policies, world.collectors,
                 world.ixp.route_server, rng,
-            )
+            ).observations()
         )
 
     def test_windows_grow_monotonically(self, observations):

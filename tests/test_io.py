@@ -121,6 +121,28 @@ class TestFlowIngestModes:
             load_flows_csv(path, on_error="quarantine")
         assert excinfo.value.line_number == 1
 
+    def _undecodable_csv(self, tiny_world, tmp_path):
+        """A 10-row CSV whose line 4 carries one byte that is not UTF-8."""
+        path = tmp_path / "bytes.csv"
+        save_flows_csv(tiny_world.scenario.flows.select(np.arange(10)), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    def test_undecodable_byte_raises_ingest_error(self, tiny_world, tmp_path):
+        path = self._undecodable_csv(tiny_world, tmp_path)
+        with pytest.raises(IngestError) as excinfo:
+            load_flows_csv(path)
+        assert excinfo.value.line_number == 4
+
+    def test_undecodable_byte_quarantines_its_row(self, tiny_world, tmp_path):
+        path = self._undecodable_csv(tiny_world, tmp_path)
+        quarantine = Quarantine(source=str(path))
+        flows = load_flows_csv(path, on_error="quarantine", quarantine=quarantine)
+        assert len(flows) == 9
+        assert quarantine.line_numbers == [4]
+
     def test_empty_file_fatal(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -179,6 +201,31 @@ class TestRouteDumpIO:
             list(load_route_dump(path))
         assert excinfo.value.line_number == 3
         assert "empty AS path" in str(excinfo.value)
+
+    def _undecodable_dump(self, tmp_path):
+        """Two good records, then one whose source has a non-UTF-8 byte."""
+        path = tmp_path / "dump.txt"
+        write_route_dump(self._observations(), path)
+        with open(path, "ab") as handle:
+            handle.write(b"TABLE_DUMP2|0|B|rrc\xff0|10|62.0.0.0/16|10 30\n")
+        return path
+
+    def test_undecodable_byte_raises_ingest_error(self, tmp_path):
+        path = self._undecodable_dump(tmp_path)
+        with pytest.raises(IngestError) as excinfo:
+            list(load_route_dump(path))
+        assert excinfo.value.line_number == 3
+        assert "undecodable" in str(excinfo.value)
+
+    def test_undecodable_byte_quarantines_its_line(self, tmp_path):
+        path = self._undecodable_dump(tmp_path)
+        quarantine = Quarantine(source=str(path))
+        loaded = list(
+            load_route_dump(path, on_error="quarantine", quarantine=quarantine)
+        )
+        assert loaded == self._observations()
+        assert quarantine.line_numbers == [3]
+        assert "undecodable byte (not UTF-8)" in quarantine.reasons
 
     def test_quarantine_collects_all_defects(self, tmp_path):
         path = tmp_path / "dump.txt"
@@ -253,7 +300,7 @@ class TestRouteDumpIO:
             simulate_bgp(
                 world.topo, world.policies, world.collectors,
                 world.ixp.route_server, rng,
-            )
+            ).observations()
         )
         path = tmp_path / "world.dump"
         write_route_dump(observations, path)

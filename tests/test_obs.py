@@ -556,9 +556,11 @@ class TestCliObservability:
         assert {span["parent"] for span in records
                 if span["name"].startswith("world.cones.")
                 or span["name"] == "world.rib.finalize"} == {"world.cones"}
+        assert {span["parent"] for span in records
+                if span["name"].startswith("world.bgp.")} == {"world.bgp"}
         # World-assembly phases are traced end to end.
-        assert {"world.topology", "world.bgp", "world.cones",
-                "world.rib.finalize",
+        assert {"world.topology", "world.bgp", "world.bgp.propagate",
+                "world.bgp.rib", "world.cones", "world.rib.finalize",
                 "world.cones.naive", "world.cones.cc", "world.cones.full",
                 "world.cones.orgs", "world.traffic", "world.traffic.regular",
                 "world.traffic.stray", "world.traffic.leaks",

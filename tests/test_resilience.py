@@ -775,6 +775,47 @@ class TestCLIClassify:
         assert "quarantined 2 record(s)" in captured.err
         assert "line 4" in captured.err and "line 9" in captured.err
 
+    def _undecodable_csv(self, tiny_world, tmp_path):
+        path = tmp_path / "flows.csv"
+        save_flows_csv(tiny_world.scenario.flows.select(np.arange(20)), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    def test_classify_quarantines_undecodable_row(
+        self, tiny_world, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = self._undecodable_csv(tiny_world, tmp_path)
+        code = main(
+            ["classify", str(path), "--preset", "tiny",
+             "--on-error", "quarantine"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "classified 19 flows" in captured.out
+        assert "quarantined 1 record(s)" in captured.err
+        assert "line 4" in captured.err
+
+    def test_classify_strict_undecodable_fails_with_manifest(
+        self, tiny_world, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.obs import RunManifest
+
+        path = self._undecodable_csv(tiny_world, tmp_path)
+        manifest = tmp_path / "m.json"
+        code = main(
+            ["classify", str(path), "--preset", "tiny",
+             "--manifest-out", str(manifest)]
+        )
+        assert code == 2
+        assert "cannot load" in capsys.readouterr().err
+        outcome = RunManifest.load(manifest).to_dict()["outcome"]
+        assert outcome == {"exit_code": 2, "complete": False}
+
     def test_classify_strict_csv_fails(self, tiny_world, tmp_path, capsys):
         from repro.cli import main
 
