@@ -4,14 +4,14 @@ Three numbers the durability layer must defend:
 
 * **Steady-state overhead.** Running the paper-scale world's flow
   trace through :class:`~repro.stream.durable.DurableWatch` (per-event
-  WAL append+fsync in the ingest thread, per-window atomic cursor,
-  bounded-queue backpressure) must cost at most 10% of the plain PR 5
+  WAL append+fsync on the window loop's own thread, per-window atomic
+  cursor) must cost at most 10% of the plain
   :class:`~repro.stream.online.OnlineClassifier` rows/s. The gated
   measurement keeps the WAL on tmpfs so it captures the *protocol*
-  overhead — serialisation, checksums, syscalls, queue handoffs, GIL
-  traffic — rather than the moment-to-moment state of this host's
-  shared virtio disk; one additional durable run against the real
-  filesystem is reported alongside as the media-bound reference.
+  overhead — serialisation, checksums, syscalls — rather than the
+  moment-to-moment state of the host's disk; one additional durable
+  run against the real filesystem is reported alongside as the
+  media-bound reference.
 * **Checkpoint pause.** Serialising the full
   :class:`~repro.stream.state.OnlineValidState` (RIB + approach
   cones) is a per-checkpoint cost paid at window boundaries, not a
@@ -131,7 +131,6 @@ def bench_durable_watch(benchmark, artefact_dir, tmp_path):
                 # pause, not the per-row tax.
                 checkpoint_every=10**9,
                 wal_sync_every=1,
-                queue_depth=8,
             )
             began = time.perf_counter()
             stats = _drain(watch.run(iter(events)))
@@ -167,7 +166,6 @@ def bench_durable_watch(benchmark, artefact_dir, tmp_path):
             checkpoint_dir=directory,
             checkpoint_every=RECOVERY_CHECKPOINT_EVERY,
             wal_sync_every=1,
-            queue_depth=8,
             resume=resume,
         )
 

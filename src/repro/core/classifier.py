@@ -146,8 +146,8 @@ class FailurePolicy:
     ) -> "FailurePolicy | None":
         """Accept a policy, a mode string, or ``None`` (passed through).
 
-        ``classify_stream`` reads ``None`` as ``fail_fast``; callers
-        such as the durable watch keep it to mean "no stall deadline".
+        ``classify_stream`` and the durable watch's checkpoint writer
+        both read ``None`` as ``fail_fast``.
         """
         if value is None or isinstance(value, FailurePolicy):
             return value

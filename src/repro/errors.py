@@ -14,7 +14,7 @@ operators can route on fields instead of parsing strings:
   or exhausted its retry budget while classifying a chunk.
 * :class:`DurabilityError` — the durable watch pipeline could not
   uphold its persistence contract (checkpoint write failures past the
-  retry budget, ingest stalls). Its two corruption subtypes name the
+  retry budget). Its two corruption subtypes name the
   artefact that failed verification: :class:`WalCorruptionError` for a
   damaged write-ahead-log record mid-segment,
   :class:`CheckpointCorruptionError` when *no* stored checkpoint

@@ -10,10 +10,10 @@ Three cooperating pieces make the daemon crash-safe:
   emitted-window cursor, verified by sha256 and semantic state digest
   on restore;
 * :mod:`repro.stream.durable.daemon` — :class:`DurableWatch`, the
-  orchestrator wiring ingest → WAL → bounded queue → window loop →
-  cursor/checkpoint, with pipeline-level failure policy, stall
-  detection, clean SIGTERM drain, and :func:`recover` for exactly-once
-  resumption from the newest verifiable checkpoint.
+  orchestrator wiring pull → WAL → window loop → cursor/checkpoint on
+  one thread, with pipeline-level failure policy, clean SIGTERM
+  drain, and :func:`recover` for exactly-once resumption from the
+  newest verifiable checkpoint.
 
 See the "Durable watch" section of ``docs/ARCHITECTURE.md`` for the
 file formats and the recovery sequence.

@@ -1,19 +1,21 @@
-"""The durable watch daemon: WAL-backed, checkpointed, backpressured.
+"""The durable watch daemon: WAL-backed and checkpointed.
 
-:class:`DurableWatch` wraps the PR 5 :class:`~repro.stream.online.
-OnlineClassifier` with the persistence loop that makes ``repro watch``
-survive its own death:
+:class:`DurableWatch` wraps the
+:class:`~repro.stream.online.OnlineClassifier` with the persistence
+loop that makes ``repro watch`` survive its own death. Everything
+runs on the thread that iterates :meth:`DurableWatch.run`:
 
-* **Ingest → WAL → bounded queue.** A dedicated ingest thread pulls
-  events from the live source, appends each to the
-  :class:`~repro.stream.durable.wal.WalWriter` *first*, then puts it
-  on a bounded queue. The queue is the backpressure path: when window
-  classification falls behind, ``put`` blocks, the ingest thread
-  stalls, and the upstream iterator pauses — memory stays bounded end
-  to end. The ``watch.queue_depth`` gauge tracks the live depth.
-* **Window loop → cursor → checkpoint.** The daemon thread drains the
-  queue through the tumbling-window classifier. After each *emitted*
-  window it atomically rewrites the cursor file (exactly-once
+* **Pull → WAL → window loop.** The window loop pulls one event at a
+  time: first the WAL suffix a resumed run must replay, then the live
+  source. Each source event is appended to the
+  :class:`~repro.stream.durable.wal.WalWriter` *before* it is handed
+  to the classifier, so the log always covers every applied event.
+  The source is pulled only when the classifier asks for the next
+  event — it is never more than the one look-ahead event past what
+  the window loop has consumed, and an exception it raises surfaces
+  from ``run`` unchanged.
+* **Window loop → cursor → checkpoint.** After each *emitted* window
+  the daemon atomically rewrites the cursor file (exactly-once
   bookkeeping), and every ``checkpoint_every`` windows it saves a full
   :class:`~repro.stream.durable.checkpoint.CheckpointStore` generation
   — always at a window boundary, where the state is exactly "all
@@ -25,22 +27,19 @@ survive its own death:
   below the cursor. Because event replay is deterministic, the first
   genuinely new window (and every one after it) is bit-equal to what
   the uninterrupted run would have produced.
-* **Pipeline failure policy.** The PR 2 chunk-level
+* **Pipeline failure policy.** The chunk-level
   :class:`~repro.core.FailurePolicy` is promoted to the pipeline:
   checkpoint-write failures are retried with backoff (``retry``),
-  tolerated and counted (``degrade``), or fatal (``fail_fast``); an
-  ingest stall past the policy's ``chunk_timeout`` is detected and
-  surfaced the same way. :meth:`DurableWatch.request_drain` (wired to
-  SIGTERM by the CLI) stops ingest, finishes cleanly, and *discards*
-  the trailing partial window rather than emitting a result a resumed
-  run would emit again differently.
+  tolerated and counted (``degrade``), or fatal (``fail_fast``).
+  :meth:`DurableWatch.request_drain` (wired to SIGTERM by the CLI)
+  stops pulling events, finishes cleanly, and *discards* the trailing
+  partial window rather than emitting a result a resumed run would
+  emit again differently.
 """
 
 from __future__ import annotations
 
 import pathlib
-import queue
-import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -63,8 +62,6 @@ WAL_SUBDIR = "wal"
 #: Emitted-window cursor file (atomic JSON, rewritten per emission).
 CURSOR_FILE = "cursor.json"
 
-_SENTINEL = object()
-
 
 @dataclass(slots=True)
 class ResumePoint:
@@ -86,14 +83,22 @@ def _cursor_path(checkpoint_dir: pathlib.Path) -> pathlib.Path:
     return checkpoint_dir / CURSOR_FILE
 
 
-def _read_cursor(checkpoint_dir: pathlib.Path) -> dict | None:
+def _read_cursor(checkpoint_dir: pathlib.Path) -> int | None:
+    """The cursor's ``last_window``, or ``None`` when there is none.
+
+    The cursor is advisory, so a file that is missing, is not JSON, or
+    is not an object with an integer ``last_window`` counts as absent.
+    """
     import json
 
-    path = _cursor_path(checkpoint_dir)
     try:
-        return json.loads(path.read_text())
+        cursor = json.loads(_cursor_path(checkpoint_dir).read_text())
     except (OSError, ValueError):
         return None
+    last_window = cursor.get("last_window") if isinstance(cursor, dict) else None
+    if isinstance(last_window, int) and not isinstance(last_window, bool):
+        return last_window
+    return None
 
 
 def recover(
@@ -112,7 +117,7 @@ def recover(
     if checkpoint is not None:
         emitted = checkpoint.last_window
     if cursor is not None:
-        emitted = max(emitted, int(cursor.get("last_window", -1)))
+        emitted = max(emitted, cursor)
     after = checkpoint.last_seq if checkpoint is not None else 0
     replay = sum(
         1 for _ in replay_wal(checkpoint_dir / WAL_SUBDIR, after_seq=after)
@@ -122,45 +127,36 @@ def recover(
     )
 
 
-class _QueueStream:
-    """Iterator over the bounded queue, with stall detection."""
+class _EventStream:
+    """The window loop's event iterator over :meth:`DurableWatch._pull`.
+
+    Each ``next()`` pulls one event on the caller's thread and records
+    where the stream stands, which the cursor commit reads.
+    """
 
     def __init__(
-        self,
-        events: "queue.Queue[object]",
-        watch: "DurableWatch",
-        stall_timeout: float | None,
+        self, watch: "DurableWatch", events: Iterable[WatchEvent] | None
     ) -> None:
-        self._queue = events
         self._watch = watch
-        self._stall_timeout = stall_timeout
+        self._items = watch._pull(events)
         #: Seq of the last event handed to the classifier.
         self.last_seq = 0
-        #: True once the stream ended (sentinel consumed).
+        #: True once the stream ended.
         self.exhausted = False
         #: True when the end was a drain request, not source end.
         self.interrupted = False
 
-    def __iter__(self) -> "_QueueStream":
+    def __iter__(self) -> "_EventStream":
         return self
 
     def __next__(self) -> WatchEvent:
-        metrics = current_metrics()
-        while True:
-            try:
-                item = self._queue.get(timeout=self._stall_timeout)
-            except queue.Empty:
-                self._watch._on_stall()
-                continue
-            metrics.gauge("watch.queue_depth").set(self._queue.qsize())
-            if item is _SENTINEL:
-                self.exhausted = True
-                self.interrupted = self._watch._drain_requested()
-                self._watch._reraise_ingest_error()
-                raise StopIteration
-            seq, event = item  # type: ignore[misc]
-            self.last_seq = int(seq)
-            return event  # type: ignore[return-value]
+        try:
+            self.last_seq, event = next(self._items)
+        except StopIteration:
+            self.exhausted = True
+            self.interrupted = self._watch._drain
+            raise
+        return event
 
 
 class DurableWatch:
@@ -170,39 +166,8 @@ class DurableWatch:
     to classify against — a freshly built one for a first run, or
     ``resume.checkpoint.state`` after :func:`recover`. ``policy`` is
     the *pipeline-level* failure policy: it supervises the run's worker
-    pool exactly as before **and** governs checkpoint-write retries and
-    stall handling.
+    pool exactly as before **and** governs checkpoint-write retries.
     """
-
-    #: Sharing contract across the ingest-thread / window-loop
-    #: boundary. reprolint RL201 trusts these declarations statically
-    #: and the runtime sanitizer (``repro.testing.sanitizer``) asserts
-    #: them against the thread accesses it actually observes. Tokens:
-    #: ``single-writer:<thread-name|*>`` (exactly one thread writes
-    #: after ``__init__``; readers tolerate a stale value) and
-    #: ``lock:<attr>`` (every access holds ``self.<attr>``).
-    _CONCURRENCY_CONTRACT = {
-        "replayed_events": (
-            "single-writer:durable-watch-ingest — monotone progress "
-            "counter; cross-thread readers (metrics, tests after "
-            "join()) tolerate staleness, and run() joins the writer "
-            "before returning"
-        ),
-        "checkpoint_failures": (
-            "single-writer:* — written only by the window-loop thread "
-            "inside _checkpoint(); the ingest thread never touches it"
-        ),
-        "windows_emitted": (
-            "single-writer:* — written only by the window-loop thread "
-            "inside _commit(); the ingest thread never touches it"
-        ),
-        "_ingest_error": (
-            "lock:_ingest_lock — set once by the dying ingest thread, "
-            "consumed (read-and-clear) by the window loop; the lock "
-            "publishes the write even on the _on_stall() path, which "
-            "can race a still-live writer"
-        ),
-    }
 
     def __init__(
         self,
@@ -214,7 +179,6 @@ class DurableWatch:
         keep_checkpoints: int = 3,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         wal_sync_every: int = 1,
-        queue_depth: int = 64,
         n_workers: int | None = None,
         policy: FailurePolicy | str | None = None,
         keep_labels: bool = False,
@@ -224,8 +188,6 @@ class DurableWatch:
     ) -> None:
         if checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
-        if queue_depth <= 0:
-            raise ValueError("queue_depth must be positive")
         self.checkpoint_dir = pathlib.Path(checkpoint_dir)
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.checkpoint_every = checkpoint_every
@@ -240,15 +202,7 @@ class DurableWatch:
             sync_every=wal_sync_every,
         )
         self._resume = resume
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_depth)
-        self._stop = threading.Event()
-        #: Publishes ``_ingest_error`` across the thread boundary —
-        #: ``_on_stall`` may read it while the ingest thread is still
-        #: in its except clause, where the sentinel handoff that
-        #: orders the normal path has not happened yet.
-        self._ingest_lock = threading.Lock()
-        self._ingest_error: BaseException | None = None
-        self._ingest_thread: threading.Thread | None = None
+        self._drain = False
         #: Events fed from the WAL suffix instead of the live source.
         self.replayed_events = 0
         #: Checkpoint saves that failed past the retry budget.
@@ -282,16 +236,13 @@ class DurableWatch:
     def request_drain(self) -> None:
         """Ask the daemon to stop cleanly (SIGTERM / ctrl-C path).
 
-        Ingest stops pulling source events and the window loop ends
-        after the in-flight window — which, being cut short, is
-        discarded (not emitted, not checkpointed): the resumed run
-        recomputes it in full from the WAL, so it is emitted exactly
-        once, complete, by whichever process finishes it.
+        The window loop pulls no further event and ends after the
+        in-flight window — which, being cut short, is discarded (not
+        emitted, not checkpointed): the resumed run recomputes it in
+        full from the WAL, so it is emitted exactly once, complete, by
+        whichever process finishes it.
         """
-        self._stop.set()
-
-    def _drain_requested(self) -> bool:
-        return self._stop.is_set()
+        self._drain = True
 
     # -- the run loop ------------------------------------------------------
 
@@ -319,15 +270,7 @@ class DurableWatch:
         index (the recovery driver and the per-window manifests both
         are — same path, atomic overwrite, identical bytes).
         """
-        self._ingest_thread = threading.Thread(
-            target=self._ingest_loop,
-            args=(events,),
-            name="durable-watch-ingest",
-            daemon=True,
-        )
-        self._ingest_thread.start()
-        stall = self.policy.chunk_timeout if self.policy is not None else None
-        stream = _QueueStream(self._queue, self, stall)
+        stream = _EventStream(self, events)
         self._since_checkpoint = 0
         windows = self.online.run(stream)
         try:
@@ -354,12 +297,7 @@ class DurableWatch:
             # is reaped here: a traceback that holds this frame would
             # otherwise keep the generator, and the pool, alive.
             windows.close()
-            self._stop.set()
-            self._drain_queue()
-            if self._ingest_thread is not None:
-                self._ingest_thread.join(timeout=30.0)
             self.wal.close()
-        self._reraise_ingest_error()
 
     def _commit(self, window_index: int, applied_seq: int) -> None:
         """Advance the cursor (and maybe checkpoint) past one window."""
@@ -370,56 +308,38 @@ class DurableWatch:
             self._checkpoint(window_index, applied_seq)
             self._since_checkpoint = 0
 
-    def _ingest_loop(self, events: Iterable[WatchEvent] | None) -> None:
-        """Replay the WAL suffix, then append-and-forward the source."""
-        try:
+    def _pull(
+        self, events: Iterable[WatchEvent] | None
+    ) -> Iterator[tuple[int, WatchEvent]]:
+        """Yield ``(seq, event)``: the WAL suffix, then the source.
+
+        A source event is appended to the WAL before it is yielded, and
+        a drain request is checked before every pull.
+        """
+        already_logged = 0
+        if self._resume is not None:
             after = 0
-            if self._resume is not None and self._resume.checkpoint is not None:
+            if self._resume.checkpoint is not None:
                 after = self._resume.checkpoint.last_seq
-            already_logged = 0
-            if self._resume is not None:
-                for seq, event in replay_wal(
-                    self.wal.directory, after_seq=after
-                ):
-                    if self._stop.is_set():
-                        return
-                    self._put((seq, event))
-                    self.replayed_events += 1
-                already_logged = self.wal.last_seq
-                current_metrics().gauge("watch.replayed_events").set(
-                    self.replayed_events
-                )
-            position = 0
-            for event in events if events is not None else ():
-                position += 1
-                if position <= already_logged:
-                    continue  # the WAL already ingested this event
-                if self._stop.is_set():
+            for seq, event in replay_wal(self.wal.directory, after_seq=after):
+                if self._drain:
                     return
-                seq = self.wal.append(event)
-                self._put((seq, event))
-        except BaseException as exc:  # noqa: B036 - forwarded to the daemon thread
-            with self._ingest_lock:
-                self._ingest_error = exc
-        finally:
-            self._put(_SENTINEL)
-
-    def _put(self, item: object) -> None:
-        while True:
+                self.replayed_events += 1
+                yield seq, event
+            already_logged = self.wal.last_seq
+            current_metrics().gauge("watch.replayed_events").set(
+                self.replayed_events
+            )
+        source = iter(events if events is not None else ())
+        position = 0
+        while not self._drain:
             try:
-                self._queue.put(item, timeout=0.2)
+                event = next(source)
+            except StopIteration:
                 return
-            except queue.Full:
-                if self._stop.is_set() and item is not _SENTINEL:
-                    return
-
-    def _drain_queue(self) -> None:
-        """Unblock a possibly full ingest queue so the thread can exit."""
-        try:
-            while True:
-                self._queue.get_nowait()
-        except queue.Empty:
-            pass
+            position += 1
+            if position > already_logged:  # else the WAL already holds it
+                yield self.wal.append(event), event
 
     # -- durability actions ------------------------------------------------
 
@@ -427,7 +347,7 @@ class DurableWatch:
         import json
 
         # durable=False: the cursor is rewritten once per window on the
-        # classification thread, and a per-window fsync there is the
+        # window loop, and a per-window fsync there is the
         # single largest steady-state cost of the whole durability
         # layer. The rename stays atomic (no torn reads after a
         # process crash); after a power loss the cursor may regress to
@@ -489,30 +409,6 @@ class DurableWatch:
                     path=str(self.store.directory),
                     window=window_index,
                 ) from exc
-
-    def _on_stall(self) -> None:
-        """The queue sat empty past the policy deadline mid-stream."""
-        current_metrics().counter("watch.stalls").inc()
-        alive = (
-            self._ingest_thread is not None and self._ingest_thread.is_alive()
-        )
-        if not alive:
-            # The ingest thread died without its sentinel reaching us
-            # (should not happen — the finally always posts one) —
-            # surface instead of spinning forever.
-            self._reraise_ingest_error()
-            raise DurabilityError("ingest thread died without a sentinel")
-        if self.policy is not None and self.policy.mode == "fail_fast":
-            raise DurabilityError(
-                "ingest stalled past the policy deadline",
-                timeout=self.policy.chunk_timeout,
-            )
-
-    def _reraise_ingest_error(self) -> None:
-        with self._ingest_lock:
-            error, self._ingest_error = self._ingest_error, None
-        if error is not None:
-            raise error
 
     def _fire(self, point: str) -> None:
         if self.fault_hook is not None:

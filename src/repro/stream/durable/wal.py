@@ -21,8 +21,7 @@ encoding:
   the pickle-protocol-5 skeleton and the raw flow-column buffers. The
   writer streams each column's memory straight into the segment file —
   no in-band pickle copy of megabytes of flow data is ever
-  materialised, which keeps the append path's GIL footprint small
-  enough that WAL I/O genuinely overlaps window classification.
+  materialised.
 
 Any other kind in a checksum-valid record (``2`` included: no writer
 ever produced it) raises :class:`~repro.errors.WalCorruptionError`.
@@ -47,7 +46,6 @@ import os
 import pathlib
 import pickle
 import struct
-import threading
 import zlib
 from collections.abc import Iterator
 
@@ -174,9 +172,6 @@ class WalWriter:
         self._handle: io.FileIO | None = None
         self._segment_size = 0
         self._unsynced = 0
-        # The daemon appends from its ingest thread but syncs/closes
-        # from the window loop; one lock serialises the handle.
-        self._lock = threading.Lock()
 
     @property
     def last_seq(self) -> int:
@@ -185,54 +180,49 @@ class WalWriter:
 
     def append(self, event: WatchEvent) -> int:
         """Append one event; returns its assigned seq."""
-        with self._lock:
-            seq = self._last_seq + 1
-            kind, parts, length, crc = _encode_parts(seq, event)
-            record_size = _HEADER.size + length
-            handle = self._current_handle(record_size)
-            start = os.fstat(handle.fileno()).st_size
+        seq = self._last_seq + 1
+        kind, parts, length, crc = _encode_parts(seq, event)
+        record_size = _HEADER.size + length
+        handle = self._current_handle(record_size)
+        start = os.fstat(handle.fileno()).st_size
+        try:
+            _write_all(handle, [_HEADER.pack(seq, kind, length, crc), *parts])
+        except BaseException:
+            # A partial write (ENOSPC, interruption) leaves torn bytes
+            # at the tail, and the append-mode handle would resume
+            # *after* them — stranding the damage mid-segment, where
+            # replay rightly refuses to skip it. Cut the file back to
+            # the pre-append size so the log stays record-aligned for
+            # the next append; if even the truncate fails the original
+            # error still propagates and the segment is no worse than
+            # before.
             try:
-                _write_all(
-                    handle, [_HEADER.pack(seq, kind, length, crc), *parts]
-                )
-            except BaseException:
-                # A partial write (ENOSPC, interruption) leaves torn
-                # bytes at the tail, and the append-mode handle would
-                # resume *after* them — stranding the damage
-                # mid-segment, where replay rightly refuses to skip
-                # it. Cut the file back to the pre-append size so the
-                # log stays record-aligned for the next append; if
-                # even the truncate fails the original error still
-                # propagates and the segment is no worse than before.
-                try:
-                    handle.truncate(start)
-                except OSError:
-                    pass
-                raise
-            self._segment_size += record_size
-            self._last_seq = seq
-            self._unsynced += 1
-            if self._unsynced >= self.sync_every:
-                self._sync_locked()
-            return seq
+                handle.truncate(start)
+            except OSError:
+                pass
+            raise
+        self._segment_size += record_size
+        self._last_seq = seq
+        self._unsynced += 1
+        if self._unsynced >= self.sync_every:
+            self._sync_pending()
+        return seq
 
     def sync(self) -> None:
         """Flush + fsync pending appends (they are durable on return)."""
-        with self._lock:
-            self._sync_locked()
+        self._sync_pending()
 
-    def _sync_locked(self) -> None:
+    def _sync_pending(self) -> None:
         if self._handle is not None and self._unsynced:
             os.fsync(self._handle.fileno())
         self._unsynced = 0
 
     def close(self) -> None:
         """Sync and release the current segment handle."""
-        with self._lock:
-            if self._handle is not None:
-                self._sync_locked()
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._sync_pending()
+            self._handle.close()
+            self._handle = None
 
     def __enter__(self) -> "WalWriter":
         return self
@@ -269,10 +259,7 @@ class WalWriter:
             and self._segment_size + incoming > self.segment_bytes
             and self._segment_size > 0
         ):
-            # Rotate (caller holds the lock: close inline, not close()).
-            self._sync_locked()
-            self._handle.close()
-            self._handle = None
+            self.close()  # rotate to a fresh segment
         if self._handle is None:
             path = self.directory / _segment_name(self._last_seq + 1)
             # Append mode: an existing segment (resumed daemon) keeps

@@ -16,15 +16,9 @@ from repro.testing.faults import (
     InjectedFault,
     corrupt_file,
 )
-from repro.testing.sanitizer import (
-    ConcurrencySanitizer,
-    LockOrderSanitizer,
-    SanitizerError,
-    ThreadAccessTracer,
-)
+from repro.testing.sanitizer import ProtocolSanitizer, SanitizerError
 
 __all__ = [
-    "ConcurrencySanitizer",
     "DurabilityFaultPlan",
     "DurabilityFaultSpec",
     "FaultPlan",
@@ -32,8 +26,7 @@ __all__ = [
     "InjectedCorruption",
     "InjectedCrash",
     "InjectedFault",
-    "LockOrderSanitizer",
+    "ProtocolSanitizer",
     "SanitizerError",
-    "ThreadAccessTracer",
     "corrupt_file",
 ]

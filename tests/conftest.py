@@ -14,15 +14,13 @@ from repro.topology.model import ASNode, ASTopology, BusinessType, Relationship
 
 
 @pytest.fixture(autouse=True)
-def _concurrency_sanitizer(request, monkeypatch):
-    """Opt-in runtime concurrency sanitizer (``REPRO_SANITIZE=1``).
+def _protocol_sanitizer(request):
+    """Opt-in runtime protocol sanitizer (``REPRO_SANITIZE=1``).
 
-    Arms the fsync-protocol and lock-order interpositions for every
-    test, auto-watches each :class:`DurableWatch` the test constructs
-    (its attribute sharing is checked against the class's
-    ``_CONCURRENCY_CONTRACT``), and fails the test — dumping the lock
-    graph and access trace under ``REPRO_SANITIZE_ARTIFACTS`` — on any
-    violation. See ``docs/CONCURRENCY.md``.
+    Arms the ``wal-commit`` and ``supervised-pool`` interpositions for
+    every test and fails the test — dumping the violations under
+    ``REPRO_SANITIZE_ARTIFACTS`` — on any violation. See
+    ``docs/CONCURRENCY.md``.
     """
     if os.environ.get("REPRO_SANITIZE") != "1":
         yield
@@ -33,30 +31,22 @@ def _concurrency_sanitizer(request, monkeypatch):
         # double-report those staged violations as real ones.
         yield
         return
-    from repro.stream.durable.daemon import DurableWatch
-    from repro.testing.sanitizer import ConcurrencySanitizer
+    from repro.testing.sanitizer import ProtocolSanitizer
 
-    sanitizer = ConcurrencySanitizer()
+    sanitizer = ProtocolSanitizer()
     sanitizer.install()
-    original_init = DurableWatch.__init__
-
-    def watched_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        sanitizer.tracer.watch(self)
-
-    monkeypatch.setattr(DurableWatch, "__init__", watched_init)
     try:
         yield
     finally:
         sanitizer.uninstall()
-    violations = sanitizer.violations()
+    violations = sanitizer.violations
     if violations:
         artifacts = pathlib.Path(
             os.environ.get("REPRO_SANITIZE_ARTIFACTS", "sanitizer-artifacts")
         )
         sanitizer.write_artifacts(artifacts)
         pytest.fail(
-            f"concurrency sanitizer: {len(violations)} violation(s); "
+            f"protocol sanitizer: {len(violations)} violation(s); "
             f"artifacts in {artifacts}/ — first: {violations[0]}"
         )
 

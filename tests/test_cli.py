@@ -129,3 +129,15 @@ class TestWatchResumeFromUnreadableState:
         )
         assert self._resume(tmp_path) == 4
         assert "unknown WAL record kind 2" in capsys.readouterr().err
+
+
+class TestWatchResumeFromMalformedCursor:
+    """``watch --resume`` treats a cursor of the wrong shape as absent
+    (it is advisory) instead of dying with a traceback."""
+
+    def test_wrong_shape_cursor_resumes_from_scratch(self, tmp_path, capsys):
+        (tmp_path / "cursor.json").write_text('{"last_window": null}')
+        argv = ["watch", "--preset", "tiny", "--checkpoint-dir",
+                str(tmp_path), "--resume", "--windows", "1"]
+        assert main(argv) == 0
+        assert "watching:" in capsys.readouterr().out

@@ -819,8 +819,6 @@ def test_rule_inventory_is_complete():
         "RL009",
         "RL101",
         "RL102",
-        "RL201",
-        "RL202",
         "RL203",
         "RL302",
         "RL304",
@@ -868,191 +866,7 @@ def test_type_coverage_counts_and_gates(tmp_path):
     assert type_coverage.main([str(empty)]) == 2
 
 
-# --------------------------------------------- RL2xx: program rules
-
-
-RACY_DAEMON = """\
-    import threading
-
-    class Daemon:
-        def __init__(self):
-            self.count = 0
-            self._thread = None
-
-        def start(self):
-            self._thread = threading.Thread(target=self._worker)
-            self._thread.start()
-
-        def _worker(self):
-            self.count += 1
-
-        def status(self):
-            return self.count
-    """
-
-
-def test_rl201_fires_on_thread_shared_attribute(tmp_path):
-    findings, _ = lint(
-        tmp_path, {"src/app.py": RACY_DAEMON}, select=["RL201"]
-    )
-    assert [f.rule for f in active(findings)] == ["RL201"]
-    finding = active(findings)[0]
-    assert "Daemon.count" in finding.message
-    assert finding.path == "src/app.py"
-
-
-def test_rl201_quiet_with_contract_declaration(tmp_path):
-    code = RACY_DAEMON.replace(
-        "class Daemon:",
-        "class Daemon:\n"
-        '        _CONCURRENCY_CONTRACT = {"count": "single-writer:_worker"}\n',
-    )
-    findings, _ = lint(tmp_path, {"src/app.py": code}, select=["RL201"])
-    assert active(findings) == []
-
-
-def test_rl201_quiet_when_lock_mediated(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            import threading
-
-            class Daemon:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.count = 0
-
-                def start(self):
-                    threading.Thread(target=self._worker).start()
-
-                def _worker(self):
-                    with self._lock:
-                        self.count += 1
-
-                def status(self):
-                    with self._lock:
-                        return self.count
-            """
-        },
-        select=["RL201"],
-    )
-    assert active(findings) == []
-
-
-def test_rl201_inline_disable_records_suppression(tmp_path):
-    code = RACY_DAEMON.replace(
-        "self.count += 1",
-        "self.count += 1  # reprolint: disable=RL201",
-    )
-    findings, _ = lint(tmp_path, {"src/app.py": code}, select=["RL201"])
-    assert active(findings) == []
-    assert [f.rule for f in findings if f.suppressed] == ["RL201"]
-
-
-def test_rl201_baseline_round_trip(tmp_path):
-    findings, _ = lint(
-        tmp_path, {"src/app.py": RACY_DAEMON}, select=["RL201"]
-    )
-    assert len(active(findings)) == 1
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(
-        baseline_path, active(findings), {"src/app.py": tmp_path.joinpath(
-            "src/app.py").read_text().splitlines()}
-    )
-    findings, _ = lint(
-        tmp_path,
-        {"src/app.py": RACY_DAEMON},
-        select=["RL201"],
-        use_baseline=True,
-        baseline_path=baseline_path,
-    )
-    assert active(findings) == []
-    assert [f.rule for f in findings if f.suppressed] == ["RL201"]
-
-
-def test_rl202_fires_on_cross_module_fork_pool_reach(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            import threading
-
-            from work import launch
-
-            class Daemon:
-                def start(self):
-                    threading.Thread(target=self._worker).start()
-
-                def _worker(self):
-                    return None
-
-                def run(self):
-                    return launch()
-            """,
-            "src/work.py": """\
-            import multiprocessing
-
-            def launch():
-                with multiprocessing.Pool(2) as pool:
-                    return pool.map(sorted, [])
-            """,
-        },
-        select=["RL202"],
-    )
-    assert [f.rule for f in active(findings)] == ["RL202"]
-    finding = active(findings)[0]
-    assert finding.path == "src/app.py"
-    assert "Daemon.run()" in finding.message
-
-
-def test_rl202_quiet_with_spawn_context(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            import multiprocessing
-            import threading
-
-            class Daemon:
-                def start(self):
-                    threading.Thread(target=self._worker).start()
-
-                def _worker(self):
-                    return None
-
-                def run(self):
-                    with multiprocessing.get_context("spawn").Pool(2) as pool:
-                        return pool.map(sorted, [])
-            """
-        },
-        select=["RL202"],
-    )
-    assert active(findings) == []
-
-
-def test_rl202_fires_on_pool_under_held_lock(tmp_path):
-    findings, _ = lint(
-        tmp_path,
-        {
-            "src/app.py": """\
-            import multiprocessing
-            import threading
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def go(self):
-                    with self._lock:
-                        pool = multiprocessing.Pool(2)
-                    return pool
-            """
-        },
-        select=["RL202"],
-    )
-    assert [f.rule for f in active(findings)] == ["RL202"]
-    assert "self._lock" in active(findings)[0].message
+# --------------------------------------------- RL203: program rule
 
 
 def test_rl203_fires_on_lambda_and_local_def_submits(tmp_path):
@@ -1577,7 +1391,7 @@ def test_prune_baseline_rejects_conflicting_flags(tmp_path):
 
 
 def test_cache_warm_run_reuses_results(tmp_path):
-    files = {"src/app.py": RACY_DAEMON}
+    files = {"src/repro/util/stream.py": SAME_MODULE_WORKER}
     cache_path = tmp_path / "cache.json"
     for rel, text in files.items():
         path = tmp_path / rel
@@ -1585,19 +1399,19 @@ def test_cache_warm_run_reuses_results(tmp_path):
         path.write_text(textwrap.dedent(text))
 
     findings, meta = run(
-        tmp_path, ["src"], config=None, select=frozenset({"RL201"}),
+        tmp_path, ["src"], config=None, select=frozenset({"RL203"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
-    assert [f.rule for f in active(findings)] == ["RL201"]
+    assert [f.rule for f in active(findings)] == ["RL203"]
     assert meta["cache"]["hits"] == 0
 
     findings, meta = run(
-        tmp_path, ["src"], config=None, select=frozenset({"RL201"}),
+        tmp_path, ["src"], config=None, select=frozenset({"RL203"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
-    assert [f.rule for f in active(findings)] == ["RL201"]
+    assert [f.rule for f in active(findings)] == ["RL203"]
     assert meta["cache"]["misses"] == 0
     assert meta["cache"]["hits"] >= 1
     assert meta["cache"]["program_hit"] is True
@@ -1606,25 +1420,25 @@ def test_cache_warm_run_reuses_results(tmp_path):
 
 def test_cache_invalidates_on_edit_and_select_change(tmp_path):
     cache_path = tmp_path / "cache.json"
-    source = tmp_path / "src" / "app.py"
+    source = tmp_path / "src" / "repro" / "util" / "stream.py"
     source.parent.mkdir(parents=True)
-    source.write_text(textwrap.dedent(RACY_DAEMON))
+    source.write_text(textwrap.dedent(SAME_MODULE_WORKER))
 
     run(
-        tmp_path, ["src"], config=None, select=frozenset({"RL201"}),
+        tmp_path, ["src"], config=None, select=frozenset({"RL203"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
-    source.write_text(textwrap.dedent(RACY_DAEMON) + "\n# trailing\n")
+    source.write_text(textwrap.dedent(SAME_MODULE_WORKER) + "\n# trailing\n")
     _, meta = run(
-        tmp_path, ["src"], config=None, select=frozenset({"RL201"}),
+        tmp_path, ["src"], config=None, select=frozenset({"RL203"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
     assert meta["cache"]["misses"] == 1
     # A different --select is a different config digest: cold again.
     _, meta = run(
-        tmp_path, ["src"], config=None, select=frozenset({"RL202"}),
+        tmp_path, ["src"], config=None, select=frozenset({"RL302"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=cache_path,
     )
@@ -1656,7 +1470,7 @@ def test_changed_only_scans_the_dependency_cone(tmp_path):
 
     (tmp_path / "src/base.py").write_text("VALUE = 2\n")
     _, meta = run(
-        tmp_path, ["src"], config=None, select=frozenset({"RL201"}),
+        tmp_path, ["src"], config=None, select=frozenset({"RL203"}),
         use_baseline=False, baseline_path=None, jobs=1,
         cache_path=tmp_path / "cache.json", changed_only=True,
     )
@@ -1692,11 +1506,11 @@ def test_all_gates_composite_exit_and_json(tmp_path, capsys):
 
 
 def test_all_gates_fails_when_lint_fails(tmp_path, capsys):
-    source = tmp_path / "src" / "app.py"
+    source = tmp_path / "src" / "repro" / "util" / "stream.py"
     source.parent.mkdir(parents=True)
-    source.write_text(textwrap.dedent(RACY_DAEMON))
+    source.write_text(textwrap.dedent(SAME_MODULE_WORKER))
     code = reprolint_main(
-        ["--root", str(tmp_path), "--all-gates", "--select", "RL201", "src"]
+        ["--root", str(tmp_path), "--all-gates", "--select", "RL203", "src"]
     )
     capsys.readouterr()
     assert code == 1

@@ -1,10 +1,9 @@
-"""Runtime concurrency sanitizer: resource protocols (fsync before
-rename, checkpoint behind the log, no submit to a drained pool), lock
-order, access tracing.
+"""Runtime protocol sanitizer: fsync before rename, checkpoint behind
+the log, no submit to a drained pool.
 
-Each monitor is exercised both ways — a deliberately broken subject
-(torn write, lock-order inversion, racy toy class) must be caught, and
-a conforming subject must pass cleanly — plus the real integration
+Each protocol is exercised both ways — a deliberately broken subject
+(torn write, unsynced checkpoint, drained pool) must be caught, and a
+conforming subject must pass cleanly — plus the real integration
 point: ``atomic_write_bytes`` under interposition.
 """
 
@@ -12,17 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 
 import pytest
 
-from repro.testing.sanitizer import (
-    ConcurrencySanitizer,
-    LockOrderSanitizer,
-    ProtocolSanitizer,
-    SanitizerError,
-    ThreadAccessTracer,
-)
+from repro.testing.sanitizer import ProtocolSanitizer, SanitizerError
 from repro.util.atomicio import atomic_write_bytes
 
 #: These tests arm private monitor instances and violate them on
@@ -39,14 +31,6 @@ def wal_events(seed=5, n_ticks=40):
 @pytest.fixture()
 def protocol_sanitizer():
     sanitizer = ProtocolSanitizer()
-    sanitizer.install()
-    yield sanitizer
-    sanitizer.uninstall()
-
-
-@pytest.fixture()
-def lock_sanitizer():
-    sanitizer = LockOrderSanitizer()
     sanitizer.install()
     yield sanitizer
     sanitizer.uninstall()
@@ -105,154 +89,6 @@ class TestFsyncProtocol:
         src.write_bytes(b"x")
         os.replace(src, tmp_path / "b.txt")
         assert protocol_sanitizer.violations == []
-
-
-class TestLockOrder:
-    def test_inversion_is_caught(self, lock_sanitizer):
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-        with lock_a:
-            with lock_b:
-                pass
-        with lock_b:
-            with lock_a:
-                pass
-        kinds = [v["kind"] for v in lock_sanitizer.violations]
-        assert kinds == ["lock-order-inversion"]
-
-    def test_consistent_order_passes(self, lock_sanitizer):
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-        for _ in range(3):
-            with lock_a:
-                with lock_b:
-                    pass
-        assert lock_sanitizer.violations == []
-        graph = lock_sanitizer.graph_json()
-        assert len(graph["edges"]) == 1
-
-    def test_cross_thread_inversion_is_caught(self, lock_sanitizer):
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-
-        def forward():
-            with lock_a:
-                with lock_b:
-                    pass
-
-        def backward():
-            with lock_b:
-                with lock_a:
-                    pass
-
-        worker = threading.Thread(target=forward)
-        worker.start()
-        worker.join()
-        backward()
-        assert any(
-            v["kind"] == "lock-order-inversion"
-            for v in lock_sanitizer.violations
-        )
-
-    def test_stdlib_locks_stay_unwrapped(self, lock_sanitizer):
-        """Locks born in unmonitored code (e.g. multiprocessing's
-        resource tracker) must keep their full native surface."""
-        import queue
-
-        channel = queue.Queue()
-        assert hasattr(channel.mutex, "_at_fork_reinit")
-        assert not type(channel.mutex).__name__ == "_TracedLock"
-
-
-class _RacyCounter:
-    """Toy class with an undeclared cross-thread write."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def bump(self) -> None:
-        self.count += 1
-
-
-class _DeclaredCounter(_RacyCounter):
-    _CONCURRENCY_CONTRACT = {"count": "single-writer:bumper"}
-
-
-class TestThreadAccessTracer:
-    def _bump_from_thread(self, obj, name="bumper"):
-        worker = threading.Thread(target=obj.bump, name=name)
-        worker.start()
-        worker.join()
-
-    def test_undeclared_sharing_is_caught(self):
-        tracer = ThreadAccessTracer()
-        counter = _RacyCounter()
-        tracer.watch(counter, contract={})
-        counter.bump()  # main touches it too -> genuinely shared
-        self._bump_from_thread(counter)
-        tracer.assert_contracts()
-        assert any(
-            v["attr"] == "count" and v["declared"] == "<undeclared>"
-            for v in tracer.violations
-        )
-
-    def test_declared_single_writer_passes(self):
-        tracer = ThreadAccessTracer()
-        counter = _DeclaredCounter()
-        tracer.watch(counter)
-        assert counter.count == 0  # reads from main are fine
-        self._bump_from_thread(counter)
-        tracer.assert_contracts()
-        assert tracer.violations == []
-
-    def test_wrong_writer_thread_is_caught(self):
-        tracer = ThreadAccessTracer()
-        counter = _DeclaredCounter()
-        tracer.watch(counter)
-        self._bump_from_thread(counter, name="intruder")
-        tracer.assert_contracts()
-        assert any(
-            v["attr"] == "count" and "intruder" in v["observed_writers"]
-            for v in tracer.violations
-        )
-
-    def test_init_writes_are_excluded(self):
-        tracer = ThreadAccessTracer()
-        counter = _RacyCounter()
-        tracer.watch(counter, contract={})
-        counter.count = 5  # still only the creator: init phase
-        worker = threading.Thread(target=lambda: counter.count)
-        worker.start()
-        worker.join()
-        tracer.assert_contracts()
-        assert tracer.violations == []
-
-    def test_lock_token_is_trusted(self):
-        tracer = ThreadAccessTracer()
-        counter = _RacyCounter()
-        tracer.watch(counter, contract={"count": "lock:_lock"})
-        counter.bump()
-        self._bump_from_thread(counter)
-        tracer.assert_contracts()
-        assert tracer.violations == []
-
-    def test_single_writer_star_allows_one_thread(self):
-        tracer = ThreadAccessTracer()
-        counter = _RacyCounter()
-        tracer.watch(counter, contract={"count": "single-writer:*"})
-        self._bump_from_thread(counter)
-        self._bump_from_thread(counter)
-        tracer.assert_contracts()
-        assert tracer.violations == []
-
-    def test_single_writer_star_rejects_two_threads(self):
-        tracer = ThreadAccessTracer()
-        counter = _RacyCounter()
-        tracer.watch(counter, contract={"count": "single-writer:*"})
-        self._bump_from_thread(counter, name="first")
-        self._bump_from_thread(counter, name="second")
-        tracer.assert_contracts()
-        assert len(tracer.violations) == 1
 
 
 class TestProtocolSanitizer:
@@ -340,8 +176,10 @@ class TestProtocolSanitizer:
 
 
 class TestFacade:
-    def test_check_raises_and_artifacts_dump(self, tmp_path, monkeypatch):
-        sanitizer = ConcurrencySanitizer()
+    """The reporting surface: ``check()`` and ``write_artifacts()``."""
+
+    def test_check_raises_and_artifacts_dump(self, tmp_path):
+        sanitizer = ProtocolSanitizer()
         sanitizer.install()
         try:
             tmp = tmp_path / f"state.json.{os.getpid()}.tmp"
@@ -354,28 +192,22 @@ class TestFacade:
         assert excinfo.value.context["violations"]
         artifacts = tmp_path / "artifacts"
         sanitizer.write_artifacts(artifacts)
-        for name in (
-            "lock_order_graph.json",
-            "thread_access_trace.json",
-            "protocol_violations.json",
-        ):
-            payload = json.loads((artifacts / name).read_text())
-            assert payload is not None
+        assert sorted(p.name for p in artifacts.iterdir()) == [
+            "protocol_violations.json"
+        ]
         protocols = json.loads(
             (artifacts / "protocol_violations.json").read_text()
         )
+        assert protocols["protocols"] == ["wal-commit", "supervised-pool"]
         assert [v["kind"] for v in protocols["violations"]] == [
             "replace-without-fsync"
         ]
 
     def test_clean_run_passes(self, tmp_path):
-        sanitizer = ConcurrencySanitizer()
+        sanitizer = ProtocolSanitizer()
         sanitizer.install()
         try:
             atomic_write_bytes(tmp_path / "ok.json", b"x", durable=True)
-            lock = threading.Lock()
-            with lock:
-                pass
             sanitizer.check()
         finally:
             sanitizer.uninstall()

@@ -12,8 +12,9 @@ Tentpole contracts under test:
 * daemon — window-for-window parity with the in-memory
   :class:`OnlineClassifier`, exactly-once suppression on resume,
   clean drain discarding the trailing partial window, checkpoint-write
-  failures governed by the pipeline failure policy, backpressure via
-  the bounded queue;
+  failures governed by the pipeline failure policy, inline pulls (the
+  source is never read ahead, its errors surface unchanged, a drain
+  stops it), a malformed cursor counting as absent;
 * satellites — ``merge_event_streams`` disorder quarantine and the
   atomic (never truncated) run-manifest write.
 """
@@ -570,20 +571,92 @@ class TestDurableWatch:
         assert watch.checkpoint_failures == 0
         assert list(tmp_path.glob("checkpoint-*.ckpt"))
 
-    def test_bounded_queue_backpressure(self, tmp_path, clean_metrics):
+    def test_source_never_more_than_one_event_ahead(self, tmp_path):
+        """The window loop pulls each source event itself: when a window
+        is emitted, the source has yielded at most the one look-ahead
+        event that opened the next window."""
         events = synthetic_events(23, 80)
         reference = window_digests(
             OnlineClassifier(synthetic_state(), WINDOW_SECONDS).run(
                 iter(events)
             )
         )
+        pulled = []
+
+        def source():
+            for event in events:
+                pulled.append(event)
+                yield event
+
         watch = DurableWatch(
-            synthetic_state(),
-            WINDOW_SECONDS,
-            checkpoint_dir=tmp_path,
-            queue_depth=2,  # ingest must block on the consumer
+            synthetic_state(), WINDOW_SECONDS, checkpoint_dir=tmp_path
         )
-        assert window_digests(watch.run(iter(events))) == reference
+        emitted = []
+        for window in watch.run(source()):
+            through = sum(1 for e in events if e.timestamp < window.end)
+            assert len(pulled) <= through + 1
+            emitted.append(window)
+        assert window_digests(emitted) == reference
+        assert watch.wal.last_seq == len(events)
+
+    def test_source_exception_surfaces_unchanged(self, tmp_path):
+        events = synthetic_events(23, 80)
+        failure = ConnectionResetError("the feed went away")
+
+        def source():
+            yield from events[:30]
+            raise failure
+
+        watch = DurableWatch(
+            synthetic_state(), WINDOW_SECONDS, checkpoint_dir=tmp_path
+        )
+        with pytest.raises(ConnectionResetError) as excinfo:
+            list(watch.run(source()))
+        assert excinfo.value is failure
+        assert excinfo.traceback[-1].name == "source"
+        assert watch.wal._handle is None  # closed
+        logged = list(replay_wal(tmp_path / "wal"))
+        assert [seq for seq, _ in logged] == list(range(1, 31))
+        assert [e.timestamp for _, e in logged] == [
+            e.timestamp for e in events[:30]
+        ]
+
+    def test_no_source_pull_after_drain(self, tmp_path, clean_metrics):
+        events = synthetic_events(23, 80)
+        pulled = []
+        late = []
+        drained = False
+
+        def source():
+            for event in events:
+                (late if drained else pulled).append(event)
+                yield event
+
+        watch = DurableWatch(
+            synthetic_state(), WINDOW_SECONDS, checkpoint_dir=tmp_path
+        )
+        run = watch.run(source())
+        next(run)
+        watch.request_drain()
+        drained = True
+        list(run)
+        assert late == []
+        assert watch.wal.last_seq == len(pulled) < len(events)
+
+    @pytest.mark.parametrize(
+        "cursor",
+        ["[1]", '"abc"', '{"last_window": "x"}', '{"last_window": null}',
+         '{"last_window": true}', "{}", "{not json"],
+        ids=["list", "string", "str-window", "null-window", "bool-window",
+             "no-window", "unparseable"],
+    )
+    def test_malformed_cursor_counts_as_absent(self, tmp_path, cursor):
+        """The cursor is advisory: any file that is not an object with an
+        integer ``last_window`` is ignored, as if it were missing."""
+        (tmp_path / "cursor.json").write_text(cursor)
+        point = recover(tmp_path)
+        assert point.checkpoint is None
+        assert point.emitted_through == -1
 
     def test_cursor_outruns_sparse_checkpoints(self, tmp_path):
         """checkpoint_every=4: the cursor still suppresses re-emission."""
@@ -615,13 +688,6 @@ class TestDurableWatch:
                 WINDOW_SECONDS,
                 checkpoint_dir=tmp_path,
                 checkpoint_every=0,
-            )
-        with pytest.raises(ValueError):
-            DurableWatch(
-                synthetic_state(),
-                WINDOW_SECONDS,
-                checkpoint_dir=tmp_path,
-                queue_depth=0,
             )
 
 

@@ -16,10 +16,9 @@ Project rules (run once over the merged summaries):
 * RL008 dead public symbols (:mod:`tools.reprolint.checks.generic`);
 * RL101 docstring coverage, RL102 doc links
   (:mod:`tools.reprolint.checks.docs`);
-* RL201 thread-shared state, RL202 fork safety, RL203 pickle-boundary
-  safety and the worker-global registry — the whole-program
-  concurrency rules (:mod:`tools.reprolint.checks.program_concurrency`),
-  which run against the call-graph index in
+* RL203 pickle-boundary safety and the worker-global registry — the
+  whole-program rule (:mod:`tools.reprolint.checks.program_concurrency`),
+  which runs against the call-graph index in
   :mod:`tools.reprolint.program`;
 * RL302 commit ordering, RL304 hot-path dtype flow, RL305 static shape
   compatibility — the flow-sensitive dataflow rules

@@ -94,31 +94,6 @@ class LintConfig:
     #: Roots the whole-program index (RL2xx/RL3xx) parses. Module
     #: names strip the root: ``src/repro/x.py`` → ``repro.x``.
     program_roots: tuple[str, ...] = ("src",)
-    #: Class attribute declaring per-attribute sharing contracts that
-    #: RL201 trusts and the runtime sanitizer verifies. Values are
-    #: ``"single-writer:<thread-name|*>"`` or ``"lock:<attr>"`` tokens
-    #: followed by free-text justification.
-    contract_name: str = "_CONCURRENCY_CONTRACT"
-    #: Constructors whose result is a synchronisation object — sharing
-    #: an attribute assigned from one of these is the point, so RL201
-    #: never flags such attributes.
-    sync_factories: frozenset[str] = frozenset(
-        {
-            "threading.Lock",
-            "threading.RLock",
-            "threading.Event",
-            "threading.Condition",
-            "threading.Semaphore",
-            "threading.BoundedSemaphore",
-            "threading.Barrier",
-            "queue.Queue",
-            "queue.SimpleQueue",
-            "queue.LifoQueue",
-            "queue.PriorityQueue",
-        }
-    )
-    #: Constructors that start OS threads (RL201/RL202 anchor points).
-    thread_factories: frozenset[str] = frozenset({"threading.Thread"})
     #: Call names whose arguments cross a pickle boundary (RL203), in
     #: addition to pool ``initargs=`` / submit arguments.
     pickle_sinks: frozenset[str] = frozenset(

@@ -1,11 +1,11 @@
-"""Whole-program index: symbol table, import graph, call graph,
-attribute-access map.
+"""Whole-program index: symbol table, import graph, call graph.
 
-Per-file AST rules cannot see a thread started in one module race an
-attribute read three call hops away in another, so the RL2xx
-concurrency rules run against this layer instead: a
-:class:`ProgramIndex` built once per lint run over every ``*.py``
-under the configured program roots (``src/`` here).
+Per-file AST rules cannot see a pool worker in one module read a
+global of another module three call hops away, so the whole-program
+rules (RL203, and the dataflow rules' interprocedural effects) run
+against this layer instead: a :class:`ProgramIndex` built once per
+lint run over every ``*.py`` under the configured program roots
+(``src/`` here).
 
 The index is deliberately a *cheap, sound-enough* static model, not an
 interpreter:
@@ -23,10 +23,6 @@ interpreter:
   ``OnlineClassifier.run``), otherwise records the dotted external
   name (``os.replace``); :meth:`ProgramIndex.closure` walks the
   project edges transitively.
-* **Accesses** — every ``self.<attr>`` read/write inside a method is
-  recorded with the stack of ``with self.<lock>:`` blocks lexically
-  holding it, which is what the race rule needs to accept
-  lock-mediated sharing.
 
 Unresolvable dynamism (getattr, monkeypatching, containers of
 callables) is simply absent from the graph — the rules built on top
@@ -44,13 +40,11 @@ from tools.reprolint.checks._astutil import import_map, resolve_call_name
 from tools.reprolint.context import LintConfig
 
 __all__ = [
-    "AttrAccess",
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
     "ModuleInfo",
     "ProgramIndex",
-    "ThreadSpawn",
     "build_index",
 ]
 
@@ -62,47 +56,17 @@ class CallSite:
     #: Project function key the call resolves to ('' when external).
     callee: str
     #: Dotted external name when the target is not project code
-    #: (``os.replace``, ``threading.Thread``, …); '' when resolved.
+    #: (``os.replace``, ``pickle.dumps``, …); '' when resolved.
     external: str
     line: int
     col: int
     #: The AST call node (rules inspect arguments, e.g. ``initargs=``).
     node: ast.Call
-    #: ``self.<attr>`` names of the ``with self.<attr>:`` blocks
-    #: lexically enclosing the call.
-    lock_stack: tuple[str, ...] = ()
-
-
-@dataclass
-class AttrAccess:
-    """One ``self.<attr>`` read or write inside a method."""
-
-    attr: str
-    #: ``"read"`` or ``"write"`` (an augmented assign records both).
-    op: str
-    #: Key of the function the access occurs in.
-    function: str
-    line: int
-    col: int
-    #: ``with self.<attr>:`` blocks lexically holding the access.
-    locks: tuple[str, ...] = ()
-
-
-@dataclass
-class ThreadSpawn:
-    """A ``threading.Thread(target=...)`` construction inside a method."""
-
-    #: Key of the method constructing the thread.
-    method: str
-    #: Project function keys the ``target=`` resolves to.
-    targets: tuple[str, ...]
-    line: int
-    col: int
 
 
 @dataclass
 class FunctionInfo:
-    """One function or method, with its calls and self-accesses."""
+    """One function or method, with its calls."""
 
     key: str
     module: str
@@ -111,7 +75,6 @@ class FunctionInfo:
     #: Owning class key, or '' for module-level functions.
     cls: str = ""
     calls: list[CallSite] = field(default_factory=list)
-    accesses: list[AttrAccess] = field(default_factory=list)
     #: Module-global names read (Load) anywhere in the body.
     global_reads: set[str] = field(default_factory=set)
     #: Names of functions/classes defined *inside* this function.
@@ -125,7 +88,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One module-level class: methods, attribute types, contracts."""
+    """One module-level class: methods and attribute types."""
 
     key: str
     module: str
@@ -137,14 +100,6 @@ class ClassInfo:
     methods: dict[str, str] = field(default_factory=dict)
     #: Attribute name → project class key (where inferable).
     attr_types: dict[str, str] = field(default_factory=dict)
-    #: Attributes assigned from synchronisation factories
-    #: (``threading.Lock()``, ``queue.Queue()``, …) — sharing them is
-    #: the point, so the race rule never flags them.
-    sync_attrs: set[str] = field(default_factory=set)
-    #: Parsed ``_CONCURRENCY_CONTRACT`` literal: attr → contract token.
-    contract: dict[str, str] = field(default_factory=dict)
-    contract_line: int = 0
-    thread_spawns: list[ThreadSpawn] = field(default_factory=list)
 
 
 @dataclass
@@ -300,37 +255,10 @@ class ProgramIndex:
             elif isinstance(item, ast.AnnAssign) and isinstance(
                 item.target, ast.Name
             ):
-                if item.target.id == self.config.contract_name and isinstance(
-                    item.value, ast.Dict
-                ):
-                    self._parse_contract(info, item.value, item.lineno)
-                else:
-                    named = _annotation_name(item.annotation)
-                    if named:
-                        info.attr_types.setdefault(item.target.id, named)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == self.config.contract_name
-                        and isinstance(item.value, ast.Dict)
-                    ):
-                        self._parse_contract(info, item.value, item.lineno)
+                named = _annotation_name(item.annotation)
+                if named:
+                    info.attr_types.setdefault(item.target.id, named)
         self.classes[key] = info
-
-    @staticmethod
-    def _parse_contract(
-        info: ClassInfo, literal: ast.Dict, line: int
-    ) -> None:
-        for key_node, value_node in zip(literal.keys, literal.values):
-            if (
-                isinstance(key_node, ast.Constant)
-                and isinstance(key_node.value, str)
-                and isinstance(value_node, ast.Constant)
-                and isinstance(value_node.value, str)
-            ):
-                info.contract[key_node.value] = value_node.value
-        info.contract_line = line
 
     def _collect_function(
         self,
@@ -357,64 +285,25 @@ class ProgramIndex:
             if named:
                 fn.param_types[arg.arg] = named
         fn.returns = _annotation_name(node.returns)
-        self._walk_body(fn, node.body, lock_stack=())
+        for stmt in node.body:
+            self._walk_stmt(fn, stmt)
         return fn
 
-    def _walk_body(
-        self,
-        fn: FunctionInfo,
-        body: list[ast.stmt],
-        lock_stack: tuple[str, ...],
-    ) -> None:
-        """Recursive statement walk tracking the ``with self.X:`` stack."""
-        for stmt in body:
-            self._walk_stmt(fn, stmt, lock_stack)
-
-    def _walk_stmt(
-        self,
-        fn: FunctionInfo,
-        stmt: ast.stmt,
-        lock_stack: tuple[str, ...],
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+    def _walk_stmt(self, fn: FunctionInfo, node: ast.AST) -> None:
+        """Collect calls and global reads; a nested def's body still
+        *runs* as part of the enclosing callable (closures handed to
+        callbacks), so its calls are attributed here too."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            fn.nested_defs.add(stmt.name)
-            # Code inside a nested def still *runs* as part of the
-            # enclosing callable (closures handed to threads or
-            # callbacks), so its accesses are attributed here too.
-            self._walk_body(fn, stmt.body, lock_stack)
+            fn.nested_defs.add(node.name)
+            for stmt in node.body:
+                self._walk_stmt(fn, stmt)
             return
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            held = list(lock_stack)
-            for item in stmt.items:
-                self._scan_expr(fn, item.context_expr, lock_stack)
-                if item.optional_vars is not None:
-                    self._scan_expr(fn, item.optional_vars, lock_stack)
-                attr = self._self_attr(item.context_expr)
-                if attr:
-                    held.append(attr)
-            self._walk_body(fn, stmt.body, tuple(held))
-            return
-        self._walk_children(fn, stmt, lock_stack)
-
-    def _walk_children(
-        self,
-        fn: FunctionInfo,
-        node: ast.AST,
-        lock_stack: tuple[str, ...],
-    ) -> None:
-        """Dispatch a node's children: statements keep the walk going
-        (if/for/try/while/match suites inherit the lock stack),
-        expressions are scanned, and anything else — ``ExceptHandler``,
-        ``match_case`` — is descended through so its suite is not
-        lost."""
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt):
-                self._walk_stmt(fn, child, lock_stack)
-            elif isinstance(child, ast.expr):
-                self._scan_expr(fn, child, lock_stack)
+            if isinstance(child, ast.expr):
+                self._scan_expr(fn, child)
             else:
-                self._walk_children(fn, child, lock_stack)
+                self._walk_stmt(fn, child)
 
     @staticmethod
     def _self_attr(expr: ast.expr) -> str:
@@ -427,12 +316,7 @@ class ProgramIndex:
             return expr.attr
         return ""
 
-    def _scan_expr(
-        self,
-        fn: FunctionInfo,
-        expr: ast.expr,
-        lock_stack: tuple[str, ...],
-    ) -> None:
+    def _scan_expr(self, fn: FunctionInfo, expr: ast.expr) -> None:
         for node in ast.walk(expr):
             if isinstance(node, ast.Call):
                 fn.calls.append(
@@ -442,31 +326,8 @@ class ProgramIndex:
                         line=node.lineno,
                         col=node.col_offset + 1,
                         node=node,
-                        lock_stack=lock_stack,
                     )
                 )
-            elif isinstance(node, ast.Attribute):
-                attr = self._self_attr(node)
-                if attr:
-                    if isinstance(node.ctx, ast.Load):
-                        op = ("read",)
-                    elif isinstance(node.ctx, ast.Store):
-                        op = ("write",)
-                    elif isinstance(node.ctx, ast.Del):
-                        op = ("write",)
-                    else:  # pragma: no cover - future ctx kinds
-                        op = ()
-                    for kind in op:
-                        fn.accesses.append(
-                            AttrAccess(
-                                attr=attr,
-                                op=kind,
-                                function=fn.key,
-                                line=node.lineno,
-                                col=node.col_offset + 1,
-                                locks=lock_stack,
-                            )
-                        )
             elif isinstance(node, ast.Name) and isinstance(
                 node.ctx, ast.Load
             ):
@@ -488,8 +349,6 @@ class ProgramIndex:
             self._infer_attr_types(info)
         for fn in self.functions.values():
             self._resolve_calls(fn)
-        for info in self.classes.values():
-            self._find_thread_spawns(info)
 
     def _owning_module(self, dotted: str) -> str:
         """Longest indexed module that is a prefix of ``dotted``."""
@@ -547,16 +406,6 @@ class ProgramIndex:
                     )
                     if inferred:
                         info.attr_types.setdefault(attr, inferred)
-                    if self._is_sync_factory(stmt.value, fn.module):
-                        info.sync_attrs.add(attr)
-
-    def _is_sync_factory(self, expr: ast.expr, module: str) -> bool:
-        if not isinstance(expr, ast.Call):
-            return False
-        mod = self.modules.get(module)
-        imports = mod.imports if mod else {}
-        name = resolve_call_name(expr.func, imports)
-        return name in self.config.sync_factories
 
     def _expr_class(
         self,
@@ -744,36 +593,6 @@ class ProgramIndex:
                 continue
             site.external = resolve_call_name(func, imports)
 
-    def _find_thread_spawns(self, info: ClassInfo) -> None:
-        for method_key in info.methods.values():
-            fn = self.functions[method_key]
-            for site in fn.calls:
-                if site.external not in self.config.thread_factories:
-                    continue
-                targets: list[str] = []
-                for keyword in site.node.keywords:
-                    if keyword.arg != "target":
-                        continue
-                    value = keyword.value
-                    if isinstance(value, ast.Attribute):
-                        attr = self._self_attr(value)
-                        if attr:
-                            resolved = self._method_on(info.key, attr)
-                            if resolved:
-                                targets.append(resolved)
-                    elif isinstance(value, ast.Name):
-                        resolved = self._function_for_name(value.id, fn)
-                        if resolved:
-                            targets.append(resolved)
-                info.thread_spawns.append(
-                    ThreadSpawn(
-                        method=method_key,
-                        targets=tuple(targets),
-                        line=site.line,
-                        col=site.col,
-                    )
-                )
-
     # -- queries -------------------------------------------------------
 
     def closure(self, roots: set[str] | list[str] | tuple[str, ...]
@@ -790,20 +609,6 @@ class ProgramIndex:
                 if site.callee and site.callee not in seen:
                     pending.append(site.callee)
         return seen
-
-    def external_calls(self, keys: set[str]) -> list[tuple[str, CallSite,
-                                                           str]]:
-        """Every external callsite inside the given functions:
-        ``(external name, site, owning function key)`` triples."""
-        out: list[tuple[str, CallSite, str]] = []
-        for key in sorted(keys):
-            fn = self.functions.get(key)
-            if fn is None:
-                continue
-            for site in fn.calls:
-                if site.external:
-                    out.append((site.external, site, key))
-        return out
 
     def reverse_import_cone(self, modules: set[str]) -> set[str]:
         """Given modules plus every module importing them transitively."""

@@ -76,7 +76,7 @@ WAL_COMMIT = ProtocolSpec(
     ),
     options=(
         ("sync_calls", ("os.fsync", "fsync")),
-        ("sync_methods", ("sync", "_sync_locked")),
+        ("sync_methods", ("sync", "_sync_pending")),
         ("dirty_methods", ("append",)),
         ("dirty_receivers", ("wal",)),
         ("rename_sinks", ("os.replace", "os.rename")),
