@@ -1,11 +1,13 @@
 """Online pipeline: single-event delta apply vs full state rebuild.
 
-The tentpole claim behind ``repro watch``: applying one BGP
-announce/withdraw delta through the whole stack — RIB refcounts,
-patched finalized LPM/origin views, cone-map row patches, packed
-validity matrix row restacks — must beat rebuilding that state from
-scratch by at least an order of magnitude on a paper-scale world
-(~700-member IXP), or the incremental machinery isn't paying rent.
+The claim behind ``repro watch``: applying one BGP announce/withdraw
+delta through the whole stack — RIB refcounts, patched finalized
+LPM/origin views, the cone maps brought up to date, and the packed
+validity matrices they drop restacked at the next read — must beat
+rebuilding that state from scratch by at least an order of magnitude
+on a paper-scale world (~700-member IXP), or the incremental machinery
+isn't paying rent. Each timed loop of events ends with one restack of
+every approach's member matrix, as a watch run's next flow chunk would.
 
 Two kinds of delta are timed. A *membership-only* delta re-announces a
 live path for another prefix: the path set does not change, so the

@@ -17,7 +17,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.bgp.rib import GlobalRIB, RIBDelta
-from repro.obs.metrics import current_metrics
 
 
 class ValidSpaceMap(abc.ABC):
@@ -31,7 +30,6 @@ class ValidSpaceMap(abc.ABC):
         self._rib = rib
         self._matrix_cache_key: bytes | None = None
         self._matrix_cache: np.ndarray | None = None
-        self._matrix_cache_members: np.ndarray | None = None
 
     @property
     def rib(self) -> GlobalRIB:
@@ -78,7 +76,8 @@ class ValidSpaceMap(abc.ABC):
         Row ``i`` is the packed validity row of ``member_asns[i]``
         (all-zero for ASes unknown to BGP, i.e. everything invalid).
         The last assembled matrix is memoised so streaming chunks with
-        a stable member population pay assembly once.
+        a stable member population pay assembly once; a route delta
+        drops it (:meth:`invalidate_cache`).
         """
         members = np.asarray(member_asns, dtype=np.int64)
         key = members.tobytes()
@@ -91,7 +90,6 @@ class ValidSpaceMap(abc.ABC):
                 matrix[i, : row.size] = row
         self._matrix_cache_key = key
         self._matrix_cache = matrix
-        self._matrix_cache_members = members
         return matrix
 
     def is_valid(self, member_asn: int, prefix_id: int, origin_index: int) -> bool:
@@ -140,7 +138,6 @@ class ValidSpaceMap(abc.ABC):
         """Drop the packed validity-matrix cache (after RIB mutation)."""
         self._matrix_cache_key = None
         self._matrix_cache = None
-        self._matrix_cache_members = None
 
     def state_digest(self, member_asns: Sequence[int] | np.ndarray) -> str:
         """SHA-256 over exactly what classification consumes.
@@ -163,70 +160,15 @@ class ValidSpaceMap(abc.ABC):
 
     # -- online (delta) surface --------------------------------------------
 
-    def refresh(self) -> None:
-        """Rebuild this layer's derived state from the mutated RIB.
+    def apply_delta(self, delta: RIBDelta) -> None:
+        """Bring this map up to date after one applied RIB delta.
 
-        The full-rebuild fallback of the delta path. Subclasses that
-        participate in the online pipeline override this; maps without
-        an online story keep the default and raise.
+        Afterwards the map answers queries against the RIB's current
+        state, bit-equal to a from-scratch construction. The memoised
+        packed matrix is not touched: the caller drops it with
+        :meth:`invalidate_cache`. Maps without an online story keep
+        this default and raise.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not support online refresh"
+            f"{type(self).__name__} does not support online deltas"
         )
-
-    def apply_delta(self, delta: RIBDelta) -> set[int] | None:
-        """Patch internal state after one applied RIB delta.
-
-        Returns the set of member ASNs whose validity row changed, or
-        ``None`` meaning "unknown — treat every row as changed" (the
-        memoised packed matrix must then be dropped). The default
-        implementation falls back to a full :meth:`refresh`. After
-        either path the map answers queries against the RIB's current
-        state, bit-equal to a from-scratch construction.
-        """
-        self.refresh()
-        return None
-
-    def refresh_matrix_rows(self, changed: set[int] | None) -> int:
-        """Patch the memoised packed matrix in place after a delta.
-
-        ``changed`` is the set of member ASNs whose rows moved (the
-        return value of :meth:`apply_delta`); ``None`` drops the cache
-        entirely. Column growth (new prefixes crossing a byte boundary)
-        zero-pads on the right, which preserves existing bit positions
-        because packing is little-endian. Returns the number of rows
-        restacked (counter ``matrix.rows_patched``).
-        """
-        if self._matrix_cache is None:
-            return 0
-        if changed is None:
-            self.invalidate_cache()
-            return 0
-        width = self.row_bytes
-        matrix = self._matrix_cache
-        if width < matrix.shape[1]:
-            # Columns shrank — a rebuild changed the universe; drop.
-            self.invalidate_cache()
-            return 0
-        if width > matrix.shape[1]:
-            grown = np.zeros((matrix.shape[0], width), dtype=np.uint8)
-            grown[:, : matrix.shape[1]] = matrix
-            self._matrix_cache = matrix = grown
-        if not changed:
-            return 0
-        members = self._matrix_cache_members
-        if members is None:  # pragma: no cover - cache always pairs
-            self.invalidate_cache()
-            return 0
-        patched = 0
-        for i, asn in enumerate(members.tolist()):
-            if asn not in changed:
-                continue
-            row = self.packed_row(asn)
-            matrix[i, :] = 0
-            if row is not None:
-                matrix[i, : row.size] = row
-            patched += 1
-        if patched:
-            current_metrics().counter("matrix.rows_patched").inc(patched)
-        return patched

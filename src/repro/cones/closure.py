@@ -68,9 +68,9 @@ class ReachabilityClosure:
     def node_rows(self) -> np.ndarray:
         """Per-node packed reachability matrix ``(n, row_bytes)``.
 
-        Materialises one row per node (SCC rows are fanned out), so
-        callers can diff reachability before/after a rebuild without
-        depending on SCC numbering, which is not stable across builds.
+        Materialises one row per node (SCC rows are fanned out), so two
+        closures can be compared without depending on SCC numbering,
+        which is not stable across builds.
         """
         if self._n == 0:
             return np.zeros((0, self._rows.shape[1]), dtype=np.uint8)
@@ -91,39 +91,6 @@ class ReachabilityClosure:
         digest.update(f"{self._n}:{rows.shape}".encode())
         digest.update(np.ascontiguousarray(rows).tobytes())
         return digest.hexdigest()
-
-    def add_edge(self, src: int, dst: int) -> np.ndarray | None:
-        """Incrementally add edge ``src → dst``; returns changed nodes.
-
-        When the edge creates no new cycle, the closure is patched in
-        place — every SCC that reaches ``src`` ORs in ``dst``'s
-        (already complete) row — and the sorted indices of nodes whose
-        reachable set grew are returned (empty if the edge was already
-        implied). The result is bit-equal to a from-scratch closure of
-        the extended graph.
-
-        Returns ``None`` when ``dst`` already reaches ``src``: the new
-        edge would merge SCCs, changing the condensation, and the
-        caller must rebuild from the full edge set.
-        """
-        if not (0 <= src < self._n and 0 <= dst < self._n):
-            raise IndexError(f"edge ({src}, {dst}) outside 0..{self._n - 1}")
-        if src == dst or self.reaches(src, dst):
-            return np.zeros(0, dtype=np.int64)
-        if self.reaches(dst, src):
-            return None
-        src_bit = np.uint8(1 << (src & 7))
-        reaches_src = (self._rows[:, src >> 3] & src_bit) != 0
-        candidates = np.flatnonzero(reaches_src)
-        dst_row = self._rows[self._scc_of[dst]]
-        merged = self._rows[candidates] | dst_row
-        grew = (merged != self._rows[candidates]).any(axis=1)
-        changed_sccs = candidates[grew]
-        self._rows[changed_sccs] = merged[grew]
-        changed_nodes = np.flatnonzero(
-            np.isin(self._scc_of, changed_sccs)
-        ).astype(np.int64)
-        return changed_nodes
 
     def unpacked_row(self, node: int) -> np.ndarray:
         """Boolean reachability vector of length ``n`` for ``node``."""

@@ -30,15 +30,6 @@ class CustomerConeValidSpace(ValidSpaceMap):
         super().__init__(rib)
         self._build()
 
-    def __setstate__(self, state: dict) -> None:
-        """Unpickle; a map pickled before it kept a relationship ledger
-        (an older checkpoint) rebuilds the ledger from its RIB."""
-        self.__dict__.update(state)
-        if "_ledger" not in state:
-            self.__dict__.pop("relationships", None)
-            self.__dict__.pop("_given_relationships", None)
-            self._build()
-
     @property
     def relationships(self) -> dict[tuple[int, int], InferredRelationship]:
         """The inferred relationship per observed link (see
@@ -70,24 +61,17 @@ class CustomerConeValidSpace(ValidSpaceMap):
                 edges.append((p_idx, c_idx))
         self._closure = ReachabilityClosure(len(indexer), edges)
 
-    def refresh(self) -> None:
-        """Re-infer relationships from scratch and rebuild the closure."""
-        self._build()
-
-    def apply_delta(self, delta: RIBDelta) -> set[int] | None:
-        """Patch the relationship ledger; rebuild the closure only when
-        the kept provider→customer edge set moved.
+    def apply_delta(self, delta: RIBDelta) -> None:
+        """Patch the relationship ledger; re-close only when the kept
+        provider→customer edge set moved.
 
         The ledger re-votes only the paths the delta added or removed
         (plus every path through an AS whose transit degree moved) and
         reports the links whose relationship changed. An edge can enter
         or leave the kept set only on such a link or on an adjacency
-        that appeared or vanished, so only those are re-checked. An
-        unchanged edge set moves no row; otherwise the closure is
-        rebuilt and the old and new per-node rows are diffed, so
-        downstream matrix patching stays row-level. A change of the
-        observed AS set shifts the dense index: the closure is rebuilt
-        and every row counts as moved.
+        that appeared or vanished, so only those are re-checked. A
+        change of the observed AS set shifts the dense index, so the
+        closure is rebuilt then too.
         """
         relinked = self._ledger.apply(delta.added_paths, delta.removed_paths)
         candidates = {*delta.added_adjacencies, *delta.removed_adjacencies}
@@ -104,16 +88,8 @@ class CustomerConeValidSpace(ValidSpaceMap):
             if kept != before:
                 self._edges = (self._edges - before) | kept
                 edges_moved = True
-        if delta.rebuild_required:
+        if edges_moved or delta.rebuild_required:
             self._close()
-            return None
-        if not edges_moved:
-            return set()
-        old = self._closure.node_rows().copy()
-        self._close()
-        moved = (old != self._closure.node_rows()).any(axis=1)
-        indexer = self._rib.indexer
-        return {indexer.asn(int(i)) for i in np.flatnonzero(moved)}
 
     @property
     def column_kind(self) -> str:

@@ -47,50 +47,12 @@ class FullConeValidSpace(ValidSpaceMap):
                 edges.append((l_idx, r_idx))
         self._closure = ReachabilityClosure(len(indexer), edges)
 
-    def refresh(self) -> None:
-        """Rebuild the reachability closure from the RIB from scratch."""
-        self._build()
-
-    def apply_delta(self, delta: RIBDelta) -> set[int] | None:
-        """Patch the closure for adjacency churn.
-
-        Added adjacencies that create no new cycle are folded into the
-        closure in place (:meth:`ReachabilityClosure.add_edge`); a
-        removed adjacency or a cycle-creating addition rebuilds the
-        closure and diffs per-node rows so the matrix cache still
-        restacks only the members whose cones actually moved.
-        """
-        if delta.rebuild_required:
-            self.refresh()
-            return None
-        if not delta.added_adjacencies and not delta.removed_adjacencies:
-            return set()
-        if delta.removed_adjacencies:
-            return self._rebuild_and_diff()
-        indexer = self._rib.indexer
-        changed: set[int] = set()
-        for left, right in delta.added_adjacencies:
-            l_idx = indexer.index_or_none(left)
-            r_idx = indexer.index_or_none(right)
-            if l_idx is None or r_idx is None:
-                # An adjacency endpoint outside the indexer implies the
-                # AS universe moved after all — fall back hard.
-                return self._rebuild_and_diff()
-            grew = self._closure.add_edge(l_idx, r_idx)
-            if grew is None:  # new cycle: condensation changed
-                return self._rebuild_and_diff()
-            changed.update(indexer.asn(i) for i in grew.tolist())
-        return changed
-
-    def _rebuild_and_diff(self) -> set[int] | None:
-        old = self._closure.node_rows().copy()
-        self._build()
-        new = self._closure.node_rows()
-        if old.shape != new.shape:
-            return None
-        moved = (old != new).any(axis=1)
-        indexer = self._rib.indexer
-        return {indexer.asn(int(i)) for i in np.flatnonzero(moved)}
+    def apply_delta(self, delta: RIBDelta) -> None:
+        """Rebuild the closure when the adjacency set or the AS set
+        moved; any other delta leaves every cone as it was."""
+        if (delta.rebuild_required or delta.added_adjacencies
+                or delta.removed_adjacencies):
+            self._build()
 
     @property
     def column_kind(self) -> str:

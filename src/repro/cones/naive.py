@@ -39,11 +39,7 @@ class NaiveValidSpace(ValidSpaceMap):
             np.left_shift(1, prefix_ids & 7).astype(np.uint8),
         )
 
-    def refresh(self) -> None:
-        """Rebuild the membership matrix from the RIB from scratch."""
-        self._build()
-
-    def apply_delta(self, delta: RIBDelta) -> set[int] | None:
+    def apply_delta(self, delta: RIBDelta) -> None:
         """Flip only the membership bits the delta names.
 
         Prefix ids are stable columns, so an announce sets and a
@@ -53,8 +49,8 @@ class NaiveValidSpace(ValidSpaceMap):
         (new dense indexer) forces a rebuild.
         """
         if delta.rebuild_required:
-            self.refresh()
-            return None
+            self._build()
+            return
         width = (self._rib.num_prefixes + 7) // 8
         if width > self._matrix.shape[1]:
             grown = np.zeros(
@@ -63,7 +59,6 @@ class NaiveValidSpace(ValidSpaceMap):
             grown[:, : self._matrix.shape[1]] = self._matrix
             self._matrix = grown
         indexer = self._rib.indexer
-        changed: set[int] = set()
         for prefix_id, asns in delta.members_added.items():
             byte = prefix_id >> 3
             mask = np.uint8(1 << (prefix_id & 7))
@@ -71,7 +66,6 @@ class NaiveValidSpace(ValidSpaceMap):
                 index = indexer.index_or_none(asn)
                 if index is not None:
                     self._matrix[index, byte] |= mask
-                    changed.add(asn)
         for prefix_id, asns in delta.members_removed.items():
             byte = prefix_id >> 3
             keep = np.uint8(255 - (1 << (prefix_id & 7)))
@@ -79,8 +73,6 @@ class NaiveValidSpace(ValidSpaceMap):
                 index = indexer.index_or_none(asn)
                 if index is not None:
                     self._matrix[index, byte] &= keep
-                    changed.add(asn)
-        return changed
 
     @property
     def column_kind(self) -> str:

@@ -13,7 +13,6 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.bgp.rib import RIBDelta
 from repro.cones.base import ValidSpaceMap
 
 
@@ -68,48 +67,16 @@ class OrgMergedValidSpace(ValidSpaceMap):
                 self._merged_cache[sibling] = merged
         return merged
 
-    # -- online (delta) surface --------------------------------------------
+    def invalidate_cache(self) -> None:
+        """Drop the packed matrix and every merged row (after a delta).
 
-    def refresh(self) -> None:
-        """Reset merged-row caches after the wrapped base was rebuilt.
-
-        Deliberately does NOT refresh the base: the approach dict
-        shares base instances between the plain and the ``+orgs``
-        variants, and the stream state manager refreshes each unique
-        base exactly once before refreshing its wrappers.
+        The wrapped base is not touched: the approach dict shares base
+        instances between the plain and the ``+orgs`` variants, and the
+        stream state manager applies each delta to each unique base
+        exactly once.
         """
+        super().invalidate_cache()
         self._merged_cache.clear()
-
-    def apply_delta(self, delta: RIBDelta) -> set[int] | None:
-        """Conservative fallback: drop merged rows, report unknown.
-
-        The stream state manager never calls this — it applies the
-        delta to the (shared, deduplicated) base maps and forwards
-        each base's changed set through :meth:`propagate_delta`, which
-        is both cheaper and row-precise.
-        """
-        self._merged_cache.clear()
-        return None
-
-    def propagate_delta(self, base_changed: set[int] | None) -> set[int] | None:
-        """Expand a base map's changed-row set through org sibling groups.
-
-        A changed base row invalidates the merged row of every sibling
-        in the same organization; those merged cache entries are
-        evicted (they are rebuilt lazily on next query). Returns the
-        expanded changed set, or ``None`` if the base reported unknown.
-        """
-        if base_changed is None:
-            self._merged_cache.clear()
-            return None
-        changed = set(base_changed)
-        for asn in base_changed:
-            group = self._siblings.get(asn)
-            if group is not None:
-                changed.update(group)
-        for asn in changed:
-            self._merged_cache.pop(asn, None)
-        return changed
 
 
 def apply_org_merge(

@@ -11,7 +11,7 @@ it exists so the reproduction can measure detector precision/recall.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -158,59 +158,3 @@ class FlowTable:
             f"FlowTable({len(self)} flows, {self.total_packets()} pkts, "
             f"{self.total_bytes()} bytes)"
         )
-
-
-class FlowBatchBuilder:
-    """Accumulates flow rows in Python lists, then freezes to a table.
-
-    Generators that cannot vectorise their inner loop use this to avoid
-    quadratic concatenation costs.
-    """
-
-    __slots__ = ("_lists",)
-
-    def __init__(self) -> None:
-        self._lists: dict[str, list] = {name: [] for name, _ in _COLUMNS}
-
-    def add(
-        self,
-        src: int,
-        dst: int,
-        proto: int,
-        src_port: int,
-        dst_port: int,
-        packets: int,
-        nbytes: int,
-        member: int,
-        dst_member: int,
-        time: int,
-        truth: TruthLabel,
-    ) -> None:
-        row = (
-            src, dst, proto, src_port, dst_port, packets, nbytes,
-            member, dst_member, time, int(truth),
-        )
-        for (name, _), value in zip(_COLUMNS, row):
-            self._lists[name].append(value)
-
-    def add_arrays(self, **columns: Iterable) -> None:
-        """Append whole column arrays (must all be the same length)."""
-        sizes = {name: len(np.atleast_1d(np.asarray(values)))
-                 for name, values in columns.items()}
-        if len(set(sizes.values())) > 1:
-            raise ValueError(f"ragged columns: {sizes}")
-        (size,) = set(sizes.values()) or {0}
-        for name, _ in _COLUMNS:
-            if name in columns:
-                self._lists[name].extend(
-                    np.atleast_1d(np.asarray(columns[name])).tolist()
-                )
-            else:
-                raise ValueError(f"missing column {name!r}")
-        del size
-
-    def build(self) -> FlowTable:
-        return FlowTable(**{name: values for name, values in self._lists.items()})
-
-    def __len__(self) -> int:
-        return len(self._lists["src"])

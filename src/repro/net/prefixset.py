@@ -181,13 +181,6 @@ class PrefixSet:
                 out.append((cursor, end))
         return PrefixSet.from_intervals(out)
 
-    def union_many(self, others: Iterable[PrefixSet]) -> PrefixSet:
-        """Union with many sets in a single merge pass."""
-        intervals = list(self.intervals())
-        for other in others:
-            intervals.extend(other.intervals())
-        return PrefixSet.from_intervals(intervals)
-
     def __repr__(self) -> str:
         return (
             f"PrefixSet({self.num_intervals} intervals, "

@@ -9,7 +9,7 @@
   immediately, in stream order;
 * flow chunks are classified against the state *as of their position
   in the stream* — inside a window, a chunk that arrives after a route
-  delta sees the patched matrices, a chunk before it does not;
+  delta sees the updated state, a chunk before it does not;
 * each window is one streamed classification, so its merged
   counters/labels follow the exact chunk-merge algebra of the batch
   pipeline. With ``n_workers`` one supervised pool serves the whole

@@ -12,11 +12,11 @@ them mutually consistent as route deltas arrive:
 2. each *unique base* map gets ``apply_delta`` exactly once — the
    approach dict shares base instances between plain and ``+orgs``
    variants, so deduplication by identity prevents double-application;
-3. org wrappers expand the base's changed-row set through sibling
-   groups (:meth:`~repro.cones.orgs.OrgMergedValidSpace.propagate_delta`);
-4. every map's memoised packed matrix is patched row-level
-   (:meth:`~repro.cones.base.ValidSpaceMap.refresh_matrix_rows`);
-5. the classifier's ``state_version`` is bumped so supervised worker
+3. every map drops its memoised packed matrix, and org wrappers their
+   merged rows (:meth:`~repro.cones.base.ValidSpaceMap.invalidate_cache`);
+   the next :meth:`~repro.cones.base.ValidSpaceMap.packed_matrix` call
+   restacks from the maps;
+4. the classifier's ``state_version`` is bumped so supervised worker
    pools re-arm before classifying chunks that follow the delta.
 
 The contract is exact: after :meth:`apply_route`, classification
@@ -58,25 +58,13 @@ class OnlineValidState:
         self.n_patched = 0
         self.n_rebuilds = 0
 
-    def warm_up(self, observations: Iterable[RouteObservation]) -> int:
-        """Bulk-load table-dump observations through the union path.
-
-        Used before streaming starts: :meth:`GlobalRIB.add_all` ingests
-        the whole batch in one loop without per-event delta bookkeeping
-        or finalized patching, so seeding hundreds of thousands of dump
-        entries stays cheap. Callers must warm up *before* building
-        approaches on the same RIB (or construct the state afterwards).
-        Returns accepted routes.
-        """
-        return self.rib.add_all(observations)
-
     def apply_route(self, observation: RouteObservation) -> RIBDelta:
         """Apply one announce/withdraw delta through the whole stack.
 
         Returns the :class:`RIBDelta`; when the event was ignored
         (duplicate announce, withdrawal of an unknown route) nothing
-        else is touched. Otherwise the cone maps and their packed
-        matrices are patched and the classifier version is bumped.
+        else is touched. Otherwise the cone maps are patched, their
+        packed matrices dropped and the classifier version is bumped.
         """
         delta = self.rib.apply(observation)
         if not delta.applied:
@@ -87,20 +75,12 @@ class OnlineValidState:
             self.n_patched += 1
         elif delta.finalize == "rebuild":
             self.n_rebuilds += 1
-        base_changed: dict[int, set[int] | None] = {}
-        for approach in self.approaches.values():
-            base = self._base_of(approach)
-            if id(base) not in base_changed:
-                base_changed[id(base)] = base.apply_delta(delta)
-        rows_patched = 0
-        for approach in self.approaches.values():
-            if isinstance(approach, OrgMergedValidSpace):
-                changed = approach.propagate_delta(
-                    base_changed[id(approach.base)]
-                )
-            else:
-                changed = base_changed[id(approach)]
-            rows_patched += approach.refresh_matrix_rows(changed)
+        approaches = self.approaches.values()
+        bases = {id(base): base for base in map(self._base_of, approaches)}
+        for base in bases.values():
+            base.apply_delta(delta)
+        for approach in approaches:
+            approach.invalidate_cache()
         current_metrics().counter("stream.deltas_applied").inc()
         self.classifier.notify_state_changed()
         return delta

@@ -17,7 +17,7 @@ measurements rest on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,12 +78,6 @@ class TopologyConfig:
     #: space (else from dark infrastructure space).
     numbered_from_announced_prob: float = 0.6
     seed: int = 7
-
-
-@dataclass(slots=True)
-class _OrgPlan:
-    next_org_id: int = 1
-    hidden_orgs: set[int] = field(default_factory=set)
 
 
 def generate_topology(config: TopologyConfig | None = None) -> ASTopology:

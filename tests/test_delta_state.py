@@ -18,7 +18,6 @@ import pytest
 
 from repro.bgp.messages import RouteObservation
 from repro.bgp.rib import GlobalRIB, _FinalizedRIB
-from repro.cones.closure import ReachabilityClosure
 from repro.cones.customer_cone import CustomerConeValidSpace
 from repro.cones.full_cone import FullConeValidSpace
 from repro.cones.naive import NaiveValidSpace
@@ -146,50 +145,6 @@ class TestFinalizedRIBParity:
         for prefix, path in routes:
             rib.apply(obs(prefix, *path))
             assert_finalized_parity(rib)
-
-
-class TestClosureAddEdge:
-    @pytest.mark.parametrize("seed", [3, 41])
-    def test_incremental_matches_rebuild(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 40
-        for _round in range(12):
-            n_edges = int(rng.integers(10, 80))
-            edges = [
-                (int(rng.integers(n)), int(rng.integers(n)))
-                for _ in range(n_edges)
-            ]
-            closure = ReachabilityClosure(n, edges)
-            for _ in range(10):
-                src, dst = int(rng.integers(n)), int(rng.integers(n))
-                before = closure.node_rows().copy()
-                changed = closure.add_edge(src, dst)
-                edges.append((src, dst))
-                fresh = ReachabilityClosure(n, edges)
-                if changed is None:
-                    # Cycle: condensation changes, caller must rebuild.
-                    closure = fresh
-                    continue
-                np.testing.assert_array_equal(
-                    closure.node_rows(), fresh.node_rows()
-                )
-                # The changed-node set is exact: precisely the rows
-                # that differ from the pre-add state.
-                really_changed = np.flatnonzero(
-                    (closure.node_rows() != before).any(axis=1)
-                )
-                np.testing.assert_array_equal(
-                    np.sort(np.asarray(changed)), really_changed
-                )
-
-    def test_implied_edge_is_noop(self):
-        closure = ReachabilityClosure(3, [(0, 1), (1, 2)])
-        changed = closure.add_edge(0, 2)  # already reachable
-        assert changed is not None and len(changed) == 0
-
-    def test_cycle_returns_none(self):
-        closure = ReachabilityClosure(3, [(0, 1), (1, 2)])
-        assert closure.add_edge(2, 0) is None
 
 
 def build_approaches(rib, org_mapping):

@@ -5,8 +5,6 @@ import pytest
 
 from repro.ixp.flows import (
     PROTO_TCP,
-    PROTO_UDP,
-    FlowBatchBuilder,
     FlowTable,
     TruthLabel,
 )
@@ -86,21 +84,3 @@ class TestOps:
     def test_mean_packet_sizes(self):
         table = small_table(3)
         assert table.mean_packet_sizes().tolist() == [100.0, 100.0, 100.0]
-
-
-class TestBuilder:
-    def test_add_rows(self):
-        builder = FlowBatchBuilder()
-        builder.add(1, 2, PROTO_UDP, 123, 456, 5, 500, 10, 11, 99, TruthLabel.STRAY_NAT)
-        builder.add(3, 4, PROTO_TCP, 80, 81, 1, 40, 12, 13, 100, TruthLabel.LEGIT)
-        table = builder.build()
-        assert len(builder) == 2
-        assert len(table) == 2
-        assert table.src.tolist() == [1, 3]
-        assert table.truth.tolist() == [
-            int(TruthLabel.STRAY_NAT),
-            int(TruthLabel.LEGIT),
-        ]
-
-    def test_empty_builder(self):
-        assert len(FlowBatchBuilder().build()) == 0

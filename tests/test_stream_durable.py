@@ -28,11 +28,8 @@ import pickle
 import struct
 import zlib
 
-import numpy as np
 import pytest
 
-from repro.bgp.rib import GlobalRIB
-from repro.cones.customer_cone import CustomerConeValidSpace
 from repro.core import FailurePolicy
 from repro.errors import (
     CheckpointCorruptionError,
@@ -47,7 +44,6 @@ from repro.stream import (
     CheckpointStore,
     DurableWatch,
     OnlineClassifier,
-    OnlineValidState,
     WalWriter,
     merge_event_streams,
     recover,
@@ -368,44 +364,6 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointCorruptionError) as err:
             store.load_latest()
         assert len(err.value.context["failures"]) == 2
-
-    def test_cone_map_saved_without_a_ledger_resumes(self, tmp_path):
-        """A checkpoint written before the customer-cone map kept a
-        relationship ledger restores: the map rebuilds the ledger from
-        its RIB, and a path-set delta then patches it bit-equal to a
-        fresh build."""
-        rib = GlobalRIB()
-        for prefix, path in (
-            ("60.0.0.0/16", (20, 1, 10, 100)),
-            ("20.0.0.0/16", (10, 1, 20, 200)),
-            ("30.0.0.0/16", (30, 2, 1, 10, 100)),
-        ):
-            rib.apply(_obs(prefix, *path))
-        state = OnlineValidState(rib, {"cc": CustomerConeValidSpace(rib)})
-        cc = state.approaches["cc"]
-        old_layout = {
-            name: value for name, value in vars(cc).items()
-            if name not in ("_ledger", "_edges")
-        }
-        old_layout["relationships"] = dict(cc.relationships)
-        old_layout["_given_relationships"] = None
-        cc.__dict__.clear()
-        cc.__dict__.update(old_layout)
-        CheckpointStore(tmp_path).save(
-            state, last_seq=3, last_window=0, last_timestamp=None
-        )
-
-        restored = CheckpointStore(tmp_path).load_latest().state
-        delta = restored.apply_route(_obs("70.0.0.0/16", 30, 2, 1, 20, 200))
-        assert delta.added_paths and not delta.rebuild_required
-        patched = restored.approaches["cc"]
-        fresh = CustomerConeValidSpace(restored.rib)
-        assert "_given_relationships" not in vars(patched)
-        assert vars(patched._ledger) == vars(fresh._ledger)
-        members = sorted(restored.rib.observed_asns())
-        np.testing.assert_array_equal(
-            patched.packed_matrix(members), fresh.packed_matrix(members)
-        )
 
     def test_empty_directory_is_a_fresh_start(self, tmp_path):
         assert CheckpointStore(tmp_path).load_latest() is None
