@@ -89,7 +89,7 @@ def _drain(windows):
     return count, flows
 
 
-def bench_durable_watch(benchmark, artefact_dir, tmp_path):
+def bench_durable_watch(benchmark, artefact_dir, repo_relative, tmp_path):
     # ---------------------------------------------- steady-state WAL
     world = build_world(WorldConfig.paper_scale())
     trace = _tile(world.scenario.flows, TILE_REPS)
@@ -304,7 +304,9 @@ def bench_durable_watch(benchmark, artefact_dir, tmp_path):
             "recovery_checkpoint_every": RECOVERY_CHECKPOINT_EVERY,
         },
     )
-    manifest.finish(extra={"artefact": str(out), "timings": outcome})
+    manifest.finish(
+        extra={"artefact": repo_relative(out), "timings": outcome}
+    )
     manifest.write(manifest_path_for(out))
 
     assert outcome["overhead_pct"] <= 10.0, (

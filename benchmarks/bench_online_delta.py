@@ -66,7 +66,7 @@ def _pick_path_change(rib, observations):
     raise RuntimeError("no path-set-changing update found")
 
 
-def bench_online_delta(benchmark, artefact_dir):
+def bench_online_delta(benchmark, artefact_dir, repo_relative):
     config = WorldConfig.paper_scale(seed=23)
     world = build_world(config, with_traffic=False, keep_observations=True)
     state = OnlineValidState(world.rib, world.approaches, world.classifier)
@@ -147,7 +147,9 @@ def bench_online_delta(benchmark, artefact_dir):
         preset="paper_scale",
         config=dataclasses.asdict(config),
     )
-    manifest.finish(extra={"artefact": str(out), "timings": outcome})
+    manifest.finish(
+        extra={"artefact": repo_relative(out), "timings": outcome}
+    )
     manifest.write(manifest_path_for(out))
 
     for kind in ("speedup", "path_set_speedup"):

@@ -32,6 +32,13 @@ from repro.obs import (
 )
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+#: Manifests name their artefact relative to this, so a committed
+#: manifest does not carry the checkout's absolute path.
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _repo_relative(path: pathlib.Path) -> str:
+    return path.resolve().relative_to(REPO_ROOT).as_posix()
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +91,13 @@ def artefact_dir():
     return OUTPUT_DIR
 
 
+@pytest.fixture(scope="session")
+def repo_relative():
+    """``path`` → its repository-relative name, as a manifest's
+    ``artefact`` records it."""
+    return _repo_relative
+
+
 @pytest.fixture()
 def save_artefact(artefact_dir, traced_world, request):
     """Write a rendered table/figure to benchmarks/output/.
@@ -109,7 +123,7 @@ def save_artefact(artefact_dir, traced_world, request):
             world.result.counters() if world.result is not None else {}
         )
         manifest.finish(
-            spans=spans, extra={**counters, "artefact": str(out)}
+            spans=spans, extra={**counters, "artefact": _repo_relative(out)}
         )
         manifest.write(manifest_path_for(out))
 

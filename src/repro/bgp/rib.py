@@ -65,7 +65,6 @@ from repro.bgp.messages import (
 )
 from repro.net.prefix import Prefix
 from repro.net.prefixset import PrefixSet
-from repro.net.trie import PrefixTrie
 from repro.obs.metrics import current_metrics
 from repro.util.indexing import AsnIndexer, csr_positions, distinct
 
@@ -724,72 +723,22 @@ def _groups(owner: np.ndarray) -> Iterator[tuple[int, int, int]]:
     return zip(owner[starts].tolist(), starts, [*bounds, owner.size])
 
 
-def _canonical_segments(
-    points: list[int], owners: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dedup consecutive same-owner boundary points into segments.
-
-    Both the from-scratch build and the patch path funnel through this
-    one canonicalisation so their outputs are bit-equal by construction.
-    """
-    seg_starts: list[int] = []
-    seg_prefix: list[int] = []
-    for start, owner in zip(points, owners):
-        if seg_starts and seg_prefix[-1] == owner:
-            continue
-        seg_starts.append(start)
-        seg_prefix.append(owner)
-    return (
-        np.array(seg_starts, dtype=np.uint64),
-        np.array(seg_prefix, dtype=np.int64),
-    )
-
-
 class _FinalizedRIB:
     """Vectorised derivatives of a :class:`GlobalRIB`.
 
-    Built from scratch lazily; thereafter :meth:`apply_delta` patches
-    the painted LPM segments, the origin mapping, the routed space, and
-    the exclusive-coverage vectors in place for events that do not
-    change the observed AS set.
+    Built from scratch lazily; thereafter :meth:`apply_delta` keeps it
+    current in place for events that do not change the observed AS
+    set: it updates the origin mapping, re-paints the LPM segments and
+    the routed space with the cold build's own :meth:`_paint` when the
+    set of live prefixes changed, and recomputes the exclusive
+    coverage.
     """
 
     def __init__(self, rib: GlobalRIB) -> None:
         self.indexer = AsnIndexer(rib.observed_asns())
-        prefixes = rib.prefixes()
-        live_ids = rib.live_prefix_ids()
-        self.routed_space = PrefixSet(prefixes[pid] for pid in live_ids)
-
-        self._trie = PrefixTrie()
-        for prefix_id in live_ids:
-            # Live prefixes are unique, so each insert claims its node.
-            self._trie.insert(prefixes[prefix_id], prefix_id)
-
-        # Painted LPM segments: at every boundary point, the most
-        # specific covering live prefix (if any) owns the following
-        # segment. Boundary points are refcounted so prefix removal
-        # keeps shared boundaries alive.
-        self._boundary_counts: dict[int, int] = {}
-        for prefix_id in live_ids:
-            prefix = prefixes[prefix_id]
-            for point in (prefix.first, prefix.last + 1):
-                self._boundary_counts[point] = (
-                    self._boundary_counts.get(point, 0) + 1
-                )
-        points: list[int] = []
-        owners: list[int] = []
-        for start in sorted(self._boundary_counts):
-            if start >= _ADDR_END:
-                continue
-            match = self._trie.longest_match(start)
-            points.append(start)
-            owners.append(-1 if match is None else int(match[1]))
-        self._seg_starts, self._seg_prefix = _canonical_segments(
-            points, owners
-        )
-
-        origin_index = np.full(len(prefixes), -1, dtype=np.int64)
-        for prefix_id in live_ids:
+        self._paint(rib)
+        origin_index = np.full(rib.num_prefixes, -1, dtype=np.int64)
+        for prefix_id in rib.live_prefix_ids():
             origin_index[prefix_id] = self.indexer.index(
                 rib.origin_of(prefix_id)
             )
@@ -819,22 +768,7 @@ class _FinalizedRIB:
             )
             self._origin_index_per_prefix = grown
         if delta.geometry_changed:
-            ranges: list[tuple[int, int]] = []
-            for prefix_id in delta.prefixes_now_dead:
-                prefix = rib.prefix_by_id(prefix_id)
-                self._trie.remove(prefix)
-                self._drop_boundaries(prefix)
-                ranges.append((prefix.first, prefix.last + 1))
-            for prefix_id in delta.prefixes_now_live:
-                prefix = rib.prefix_by_id(prefix_id)
-                self._trie.insert(prefix, prefix_id)
-                self._add_boundaries(prefix)
-                ranges.append((prefix.first, prefix.last + 1))
-            self._repaint(ranges)
-            prefixes = rib.prefixes()
-            self.routed_space = PrefixSet(
-                prefixes[pid] for pid in rib.live_prefix_ids()
-            )
+            self._paint(rib)
         for prefix_id, origin in delta.origin_changes.items():
             self._origin_index_per_prefix[prefix_id] = self.indexer.index(
                 origin
@@ -845,53 +779,45 @@ class _FinalizedRIB:
             self._recompute_exclusive()
         return True
 
-    def _add_boundaries(self, prefix: Prefix) -> None:
-        for point in (prefix.first, prefix.last + 1):
-            self._boundary_counts[point] = (
-                self._boundary_counts.get(point, 0) + 1
-            )
+    def _paint(self, rib: GlobalRIB) -> None:
+        """Paint the LPM segments and the routed space over the live
+        prefixes of ``rib``.
 
-    def _drop_boundaries(self, prefix: Prefix) -> None:
-        for point in (prefix.first, prefix.last + 1):
-            remaining = self._boundary_counts[point] - 1
-            if remaining:
-                self._boundary_counts[point] = remaining
-            else:
-                del self._boundary_counts[point]
-
-    def _repaint(self, ranges: list[tuple[int, int]]) -> None:
-        """Re-derive painted segments, resolving only affected ranges.
-
-        Boundary points inside an affected ``[first, last + 1]`` range
-        are re-resolved through the (already updated) trie; points
-        outside copy their previous LPM winner, which cannot have
-        changed — prefix blocks are aligned power-of-two ranges, so an
-        insert or remove only shifts ownership inside its own block.
+        Each live prefix puts a boundary point at its first address and
+        one past its last. Every prefix length present, shortest first,
+        claims the points inside its prefixes, so a point ends up owned
+        by its most specific covering prefix (-1 if none). Consecutive
+        points with one owner merge: a segment runs from its start to
+        the next segment's start.
         """
-        old_starts = self._seg_starts
-        old_owner = self._seg_prefix
-        points: list[int] = []
-        owners: list[int] = []
-        for start in sorted(self._boundary_counts):
-            if start >= _ADDR_END:
-                continue
-            if any(low <= start <= high for low, high in ranges):
-                match = self._trie.longest_match(start)
-                owner = -1 if match is None else int(match[1])
-            else:
-                slot = (
-                    int(
-                        np.searchsorted(
-                            old_starts, np.uint64(start), side="right"
-                        )
-                    )
-                    - 1
-                )
-                owner = -1 if slot < 0 else int(old_owner[slot])
-            points.append(start)
-            owners.append(owner)
-        self._seg_starts, self._seg_prefix = _canonical_segments(
-            points, owners
+        live_ids = rib.live_prefix_ids()
+        live = np.array(live_ids, dtype=np.int64)
+        chosen = list(map(rib.prefix_by_id, live_ids))
+        networks = np.fromiter(
+            map(attrgetter("network"), chosen), np.int64, live.size
+        )
+        lengths = np.fromiter(
+            map(attrgetter("length"), chosen), np.int64, live.size
+        )
+        ends = networks + (1 << (32 - lengths))
+        points = np.unique(np.concatenate((networks, ends)))
+        points = points[points < _ADDR_END]
+        owners = np.full(points.size, -1, dtype=np.int64)
+        order = np.lexsort((networks, lengths))
+        for _length, start, end in _groups(lengths[order]):
+            rows = order[start:end]  # one length: disjoint, by address
+            slot = np.searchsorted(networks[rows], points, side="right") - 1
+            owned = rows[np.maximum(slot, 0)]
+            inside = (networks[owned] <= points) & (points < ends[owned])
+            owners[inside] = live[owned[inside]]
+        keep = np.ones(points.size, dtype=bool)
+        keep[1:] = owners[1:] != owners[:-1]
+        self._seg_starts = points[keep].astype(np.uint64)
+        self._seg_prefix = owners[keep]
+        seg_ends = np.append(self._seg_starts[1:], np.uint64(_ADDR_END))
+        covered = self._seg_prefix >= 0
+        self.routed_space = PrefixSet.from_intervals(
+            zip(self._seg_starts[covered].tolist(), seg_ends[covered].tolist())
         )
 
     def _recompute_exclusive(self) -> None:

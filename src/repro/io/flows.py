@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import logging
 import pathlib
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -40,6 +42,16 @@ _CSV_HEADER = (
 
 _ON_ERROR = ("raise", "quarantine")
 
+#: What reading a damaged ``.npz`` raises: a broken zip container
+#: (``BadZipFile``, or ``OSError`` on a seek its bad offsets ask for),
+#: an unknown compression method or encryption flag in a mangled entry
+#: header, a corrupt or short deflate stream, a missing column, a bad
+#: array header or columns of unequal length (``ValueError``).
+_NPZ_ERRORS = (
+    zipfile.BadZipFile, OSError, NotImplementedError, RuntimeError,
+    zlib.error, EOFError, KeyError, ValueError,
+)
+
 
 def save_flows_npz(flows: FlowTable, path: str | pathlib.Path) -> None:
     """Write a flow table to a compressed ``.npz`` file."""
@@ -51,10 +63,23 @@ def save_flows_npz(flows: FlowTable, path: str | pathlib.Path) -> None:
 
 
 def load_flows_npz(path: str | pathlib.Path) -> FlowTable:
-    """Read a flow table written by :func:`save_flows_npz`."""
-    with trace("io.load_flows_npz", path=str(path)):
-        with np.load(path) as archive:
-            return FlowTable(**{name: archive[name] for name in _CSV_HEADER})
+    """Read a flow table written by :func:`save_flows_npz`.
+
+    A file that is not such an archive (truncated, zeroed, a column
+    missing or damaged) raises :class:`~repro.errors.IngestError`; a
+    file that cannot be opened raises its ``OSError``.
+    """
+    with trace("io.load_flows_npz", path=str(path)), open(path, "rb") as handle:
+        try:
+            with np.load(handle) as archive:
+                return FlowTable(
+                    **{name: archive[name] for name in _CSV_HEADER}
+                )
+        except _NPZ_ERRORS as exc:
+            raise IngestError(
+                f"unreadable flow archive: {type(exc).__name__}: {exc}",
+                path=str(path),
+            ) from exc
 
 
 def save_flows_csv(flows: FlowTable, path: str | pathlib.Path) -> None:
@@ -120,7 +145,14 @@ def load_flows_csv(
         path, newline="", encoding="utf-8", errors="surrogateescape"
     ) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise IngestError(
+                f"unreadable CSV header: {exc}",
+                path=str(path),
+                line_number=reader.line_num,
+            ) from exc
         if header is None:
             raise IngestError("empty CSV file", path=str(path), line_number=0)
         if tuple(header) != _CSV_HEADER:
@@ -130,21 +162,27 @@ def load_flows_csv(
                 path=str(path),
                 line_number=reader.line_num,
             )
-        for row in reader:
-            line_number = reader.line_num
-            if not row:
-                continue
+        while True:
+            # A record the csv module rejects (a field over its size
+            # limit, say) is one bad record: the reader resumes at the
+            # next line.
+            row: list[str] = []
             try:
+                row = next(reader)
+                if not row:
+                    continue
                 values = _parse_row(row)
-            except ValueError as exc:
+            except StopIteration:
+                break
+            except (ValueError, csv.Error) as exc:
                 if on_error == "raise":
                     raise IngestError(
                         f"malformed CSV row: {exc}",
                         path=str(path),
-                        line_number=line_number,
+                        line_number=reader.line_num,
                     ) from exc
                 assert quarantine is not None
-                quarantine.add(line_number, str(exc), ",".join(row))
+                quarantine.add(reader.line_num, str(exc), ",".join(row))
                 continue
             for name, value in zip(_CSV_HEADER, values):
                 columns[name].append(value)

@@ -4,8 +4,6 @@ Everything in this package represents IPv4 addresses as plain Python
 integers (``0 <= a < 2**32``) for speed, with :class:`Prefix` as the
 canonical prefix type. Higher-level containers:
 
-* :class:`PrefixTrie` — binary (Patricia-style) trie with longest-prefix
-  match, the workhorse behind routed-space and origin lookups.
 * :class:`PrefixSet` — compressed, immutable set of address intervals
   supporting union/intersection/containment and /24-equivalent sizing,
   plus numpy-vectorised bulk membership tests.
@@ -22,7 +20,6 @@ from repro.net.errors import AddressError, PrefixError
 from repro.net.prefix import Prefix
 from repro.net.prefixset import PrefixSet
 from repro.net.sampling import IntervalSampler
-from repro.net.trie import PrefixTrie
 
 __all__ = [
     "MAX_IPV4",
@@ -31,7 +28,6 @@ __all__ = [
     "Prefix",
     "PrefixError",
     "PrefixSet",
-    "PrefixTrie",
     "addr_to_int",
     "int_to_addr",
     "parse_prefix",

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.io import save_flows_npz
+from repro.ixp.flows import FlowTable
 from tests.test_stream_durable import (
     append_raw_wal_record,
     rewrite_checkpoint_payload,
@@ -55,17 +58,43 @@ class TestCommands:
         assert main(["acl", "--preset", "tiny", "--peer", "999999"]) == 2
 
 
+FLOW_CSV_HEADER = (
+    "src,dst,proto,src_port,dst_port,packets,bytes,member,dst_member,time,"
+    "truth\n"
+)
+
+
 class TestClassifyUnreadableInput:
     """``classify`` exits 2 on a flow file it cannot load and still
     writes its manifest, marked as a failed, incomplete run."""
 
     @pytest.mark.parametrize(
-        "content", [None, "not,a,flow,header\n1,2,3,4\n"],
-        ids=["missing", "bad-header"],
+        ("name", "content"),
+        [
+            ("flows.csv", None),
+            ("flows.csv", "not,a,flow,header\n1,2,3,4\n"),
+            ("flows.csv", FLOW_CSV_HEADER + '"' + "x" * 140_000 + "\n"),
+            ("flows.npz", lambda archive: archive[: len(archive) // 2]),
+            ("flows.npz", lambda archive: bytes(len(archive))),
+        ],
+        ids=[
+            "missing", "bad-header", "oversized-field", "truncated-npz",
+            "zeroed-npz",
+        ],
     )
-    def test_manifest_written_with_exit_2(self, tmp_path, content, capsys):
-        path = tmp_path / "flows.csv"
-        if content is not None:
+    def test_manifest_written_with_exit_2(
+        self, tmp_path, name, content, capsys
+    ):
+        path = tmp_path / name
+        if callable(content):
+            # Damage a valid archive's bytes.
+            columns = FLOW_CSV_HEADER.strip().split(",")
+            save_flows_npz(
+                FlowTable(**{column: np.arange(64) for column in columns}),
+                path,
+            )
+            path.write_bytes(content(path.read_bytes()))
+        elif content is not None:
             path.write_text(content)
         out = tmp_path / "m.json"
         argv = ["classify", str(path), "--preset", "tiny"]
@@ -95,16 +124,26 @@ class TestWatchResumeFromUnreadableState:
         return main(["watch", "--preset", "tiny", "--checkpoint-dir",
                      str(directory), "--resume"])
 
-    def test_checkpoint_that_does_not_unpickle_exits_4(self, tmp_path, capsys):
+    def _store_checkpoint_with_payload(self, directory, payload):
         from repro.stream.durable import CheckpointStore
         from repro.testing.recovery import synthetic_state
 
-        path = CheckpointStore(tmp_path).save(
+        path = CheckpointStore(directory).save(
             synthetic_state(), last_seq=1, last_window=0, last_timestamp=None
         )
-        rewrite_checkpoint_payload(path, self.PAYLOAD)
+        rewrite_checkpoint_payload(path, payload)
+
+    def test_checkpoint_that_does_not_unpickle_exits_4(self, tmp_path, capsys):
+        self._store_checkpoint_with_payload(tmp_path, self.PAYLOAD)
         assert self._resume(tmp_path) == 4
         assert "unrecoverable checkpoint state" in capsys.readouterr().err
+
+    def test_checkpoint_naming_a_removed_module_exits_4(self, tmp_path, capsys):
+        # State pickled by a release whose RIB view held a prefix trie.
+        payload = b"crepro.net.trie\n_Node\n."
+        self._store_checkpoint_with_payload(tmp_path, payload)
+        assert self._resume(tmp_path) == 4
+        assert "No module named 'repro.net.trie'" in capsys.readouterr().err
 
     def test_wal_record_that_does_not_unpickle_exits_4(self, tmp_path, capsys):
         from repro.stream.durable.daemon import WAL_SUBDIR

@@ -60,13 +60,26 @@ def assert_finalized_parity(rib: GlobalRIB) -> None:
     )
 
 
+#: Prefixes nested in and around the fuzzer's /16s: a covering /8 and
+#: /24s at the start, end and middle of a /16 and outside any /16, so
+#: deltas move address space between covering and more-specific
+#: prefixes.
+NESTED_PREFIXES = (
+    "10.0.0.0/8", "10.0.0.0/24", "10.0.255.0/24", "10.200.3.0/24",
+    "11.0.7.0/24",
+)
+
+
 class EventFuzzer:
-    """Random announce/withdraw generator over a small AS/prefix pool."""
+    """Random announce/withdraw generator over a small AS/prefix pool:
+    ``n_prefixes`` disjoint /16s plus :data:`NESTED_PREFIXES`."""
 
     def __init__(self, rng, n_asns=24, n_prefixes=14):
         self.rng = rng
         self.asns = list(range(1, n_asns + 1))
-        self.prefixes = [f"{10 + i}.0.0.0/16" for i in range(n_prefixes)]
+        self.prefixes = [
+            f"{10 + i}.0.0.0/16" for i in range(n_prefixes)
+        ] + list(NESTED_PREFIXES)
         self.live: list[tuple[str, tuple[int, ...]]] = []
 
     def random_path(self) -> tuple[int, ...]:

@@ -40,6 +40,13 @@ class TestFlowIO:
         save_flows_npz(flows, path)
         assert _equal_tables(flows, load_flows_npz(path))
 
+    def test_npz_missing_column_raises_ingest_error(self, tmp_path):
+        path = tmp_path / "flows.npz"
+        np.savez_compressed(path, src=np.arange(3))
+        with pytest.raises(IngestError, match="KeyError") as excinfo:
+            load_flows_npz(path)
+        assert excinfo.value.path == str(path)
+
     def test_csv_roundtrip(self, tiny_world, tmp_path):
         flows = tiny_world.scenario.flows.select(np.arange(200))
         path = tmp_path / "flows.csv"
@@ -138,6 +145,29 @@ class TestFlowIngestModes:
 
     def test_undecodable_byte_quarantines_its_row(self, tiny_world, tmp_path):
         path = self._undecodable_csv(tiny_world, tmp_path)
+        quarantine = Quarantine(source=str(path))
+        flows = load_flows_csv(path, on_error="quarantine", quarantine=quarantine)
+        assert len(flows) == 9
+        assert quarantine.line_numbers == [4]
+
+    def _oversized_field_csv(self, tiny_world, tmp_path):
+        """A 10-row CSV whose line 4 opens a quote and runs on past the
+        csv module's 128 KiB field limit."""
+        path = tmp_path / "long.csv"
+        save_flows_csv(tiny_world.scenario.flows.select(np.arange(10)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = '"' + "x" * 140_000
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_oversized_field_raises_ingest_error(self, tiny_world, tmp_path):
+        path = self._oversized_field_csv(tiny_world, tmp_path)
+        with pytest.raises(IngestError, match="field limit") as excinfo:
+            load_flows_csv(path)
+        assert excinfo.value.line_number == 4
+
+    def test_oversized_field_quarantines_its_row(self, tiny_world, tmp_path):
+        path = self._oversized_field_csv(tiny_world, tmp_path)
         quarantine = Quarantine(source=str(path))
         flows = load_flows_csv(path, on_error="quarantine", quarantine=quarantine)
         assert len(flows) == 9
